@@ -100,7 +100,7 @@ def _cmd_verify_table(args) -> int:
             seed=args.seed, threads=args.threads,
         )
     elif args.mode == "exhaustive":
-        report = verify_exhaustive(table, s_exp, d_exp, threads=args.threads)
+        report = verify_exhaustive(table, s_exp, d_exp)
     else:
         report = verify_sampled(
             table, s_exp, d_exp, args.samples, args.seed, threads=args.threads
@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-exp", type=int, default=None,
                    help="override the table's stored d_exp")
     p.add_argument("--report", default=None, help="write the JSON report here")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads; applies to sampled mode only")
     p.set_defaults(fn=_cmd_verify_table)
 
     p = sub.add_parser(

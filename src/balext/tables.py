@@ -21,7 +21,15 @@ The binary file format (little-endian) is:
     row-major cells at 8 or 16 bits per cell (explicit backends only)
 
 Cells use 1 byte when m_exp <= 8, else 2 bytes.  Readers reject unknown
-versions and backend tags.  Exponents beyond 255 cannot be serialized.
+versions and backend tags, and files shorter than the 27-byte header.
+Exponents beyond 255 cannot be serialized.
+
+A table's digest is the SHA-256 of its file bytes.  A table with an
+exponent beyond 255 (a keyed table for 256-bit inputs, say) has no file,
+so its digest hashes the wide header instead, which no file carries:
+
+    magic "BTBW" | version u16 | backend u8 | n_exp u32 | m_exp u32 |
+    s_exp u32 | d_exp u32 | seed/key 16 bytes zero-padded | cells as above
 """
 
 from __future__ import annotations
@@ -38,7 +46,12 @@ from .core import InvalidParams, NotFound, OutOfRange, TableParams, TooLarge
 from .mixing import GAMMA, MASK64, scramble, scramble_np, stream_value
 
 MAGIC = b"BTAB"
+WIDE_MAGIC = b"BTBW"         # digest-only header for exponents beyond 255
 FORMAT_VERSION = 1
+HEADER_BYTES = 27
+# (magic, struct layout of version, backend and the four exponents, exponent limit)
+_FILE_HEADER = (MAGIC, "<HBBBBB", 0xFF)
+_WIDE_HEADER = (WIDE_MAGIC, "<HBIIII", 0xFFFFFFFF)
 
 BACKEND_RANDOM = 0
 BACKEND_CANONICAL = 1
@@ -231,14 +244,15 @@ class BalancedTable:
             self.seed_or_key, self.params.n_exp, self.params.m_exp, row, col
         )
 
-    def to_bytes(self) -> bytes:
+    def _encode(self, layout) -> bytes:
+        magic, fmt, limit = layout
         p = self.params
         for name, e in (("n_exp", p.n_exp), ("m_exp", p.m_exp),
                         ("s_exp", p.s_exp), ("d_exp", p.d_exp)):
-            if e > 0xFF:
-                raise InvalidParams(f"{name} = {e} exceeds file-format range (255)")
-        header = MAGIC + struct.pack(
-            "<HBBBBB", FORMAT_VERSION, self.backend, p.n_exp, p.m_exp, p.s_exp, p.d_exp
+            if e > limit:
+                raise InvalidParams(f"{name} = {e} exceeds file-format range ({limit})")
+        header = magic + struct.pack(
+            fmt, FORMAT_VERSION, self.backend, p.n_exp, p.m_exp, p.s_exp, p.d_exp
         )
         header += self.seed_or_key.to_bytes(16, "little")
         if self.cells is None:
@@ -249,10 +263,17 @@ class BalancedTable:
             body = self.cells.astype("<u2").tobytes()
         return header + body
 
+    def to_bytes(self) -> bytes:
+        return self._encode(_FILE_HEADER)
+
     @classmethod
     def from_bytes(cls, data: bytes) -> "BalancedTable":
         if data[:4] != MAGIC:
             raise InvalidParams("not a table file (bad magic)")
+        if len(data) < HEADER_BYTES:
+            raise InvalidParams(
+                f"truncated table file: {len(data)} bytes, header needs {HEADER_BYTES}"
+            )
         version, backend, n_exp, m_exp, s_exp, d_exp = struct.unpack(
             "<HBBBBB", data[4:11]
         )
@@ -288,7 +309,12 @@ class BalancedTable:
             return cls.from_bytes(fh.read())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        """SHA-256 of the file bytes, or of the wide header encoding when an
+        exponent exceeds the file format's 255."""
+        p = self.params
+        wide = max(p.n_exp, p.m_exp, p.s_exp, p.d_exp) > 0xFF
+        layout = _WIDE_HEADER if wide else _FILE_HEADER
+        return hashlib.sha256(self._encode(layout)).hexdigest()
 
 
 def _random_cells(seed: int, n_exp: int, m_exp: int) -> np.ndarray:

@@ -7,12 +7,23 @@ frequent colors, so each rectangle needs one histogram and a top-k sum
 rectangles of side exactly S suffices: a larger rectangle's color fraction
 is the average of its S x S sub-rectangles' fractions.
 
-Exhaustive mode walks every S-subset pair in lexicographic order with
-stack-incremental histograms (entering/leaving a row or column updates
-per-column counts in O(S) work).  Sampled mode draws seeded random
+Every verifier ends in one core, :func:`_check_counts`: a (K, U) matrix
+holds the histograms of K rectangles over U ascending color labels, and
+the core finds, in exact integers, the worst numerator over 2 * area and
+the first violating row, whose offending colors :func:`_colorset` names.
+Only the final worst ratio becomes a ``Fraction``.
+
+Exhaustive mode fills the matrix for every pair of S-subsets, rows and
+columns in lexicographic order: each chunk of rectangles gathers its cells
+from the cached subset index arrays with two ``take`` calls and counts
+them with one ``bincount``, one row per rectangle, so memory is bounded
+per chunk, not with N * N * M.  Sampled mode draws seeded random
 rectangles (rows and columns by partial Fisher-Yates, sample j from
-streams 2j and 2j+1 of the verification seed) and is vectorized over the
-table's cell array; it is a Monte-Carlo relaxation with no certificate.
+streams 2j and 2j+1 of the verification seed), gathers each one's cells
+and writes its histogram as one row; when M > 2^20 or colors are Python
+ints (keyed n_exp or m_exp above 64) it ranks the colors present with
+``np.unique`` instead.  Sampled mode is a Monte-Carlo relaxation with no
+certificate.
 
 Reports are reproducible: the witness is the first violating rectangle in
 enumeration/sample order and the worst ratio is a max over checked
@@ -26,7 +37,9 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from functools import lru_cache
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +48,8 @@ from .mixing import GAMMA, MASK64, partial_shuffle_batch, scramble_np
 from .tables import BalancedTable, keyed_colors_grid
 
 DEFAULT_ENUM_CAP = 10**8
+_CHUNK = 1 << 14             # entries of one chunk's gathered cells or count matrix
+_DENSE_COLORS = 1 << 20      # above this many colors, sampled mode ranks colors
 
 
 @dataclass(frozen=True)
@@ -98,49 +113,142 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-rectangle checks
+# The histogram-check core
 # ---------------------------------------------------------------------------
 
 
-def _dominant_check(hist, m_colors, kdom, d_div, area):
-    """(ratio, offending colorset or None) for the dominant-subset rule."""
-    order = sorted(range(m_colors), key=lambda c: (-hist[c], c))
-    mass = sum(hist[c] for c in order[:kdom])
-    ratio = Fraction(mass * d_div, 2 * area)
-    if mass * d_div > 2 * area:
-        return ratio, tuple(order[:kdom])
-    return ratio, None
+class _Rule(NamedTuple):
+    """The bound each rectangle histogram is checked against."""
+
+    m_exp: int
+    d_exp: int
+    prefix: bool
+    rows: int                  # rectangle sides
+    cols: int
+
+    @property
+    def area(self) -> int:
+        return self.rows * self.cols
 
 
-def _prefix_check(hist, m_exp, area):
-    """Worst (ratio, bad colorset) over all prefix lengths 1..m_exp.
+def _rule(
+    table: BalancedTable,
+    s_exp: int | None,
+    d_exp: int,
+    *,
+    prefix: bool = False,
+    sides: tuple[int, int] | None = None,
+) -> _Rule:
+    """The parameter check every verifier goes through: S x S rectangles
+    for ``s_exp``, or the given (rows, cols) ``sides``."""
+    p = table.params
+    if sides is None:
+        if not 0 <= s_exp <= p.n_exp:
+            raise InvalidParams(f"need 0 <= s_exp <= n_exp = {p.n_exp}, got {s_exp}")
+        sides = (1 << s_exp, 1 << s_exp)
+    rows, cols = sides
+    if not (1 <= rows <= p.n_side and 1 <= cols <= p.n_side):
+        raise InvalidParams(f"rectangle sides {sides} must lie in [1, N = {p.n_side}]")
+    if not 0 <= d_exp <= p.m_exp:
+        raise InvalidParams("need 0 <= d_exp <= m_exp")
+    return _Rule(p.m_exp, d_exp, prefix, rows, cols)
 
-    Level l partitions colors by their top l bits; the count of any bucket
-    must be <= 2 * area / 2^l.  Buckets are produced by pairwise folding
-    from the full histogram.
+
+def _check_counts(counts: np.ndarray, labels: np.ndarray, rule: _Rule):
+    """Check every row of a (K, U) count matrix over ascending color labels.
+
+    Returns the worst numerator over 2 * area, in exact integers, and the
+    first violating row (None when every row passes).  Labels matter only
+    to the prefix rule.
     """
-    worst = Fraction(0)
-    bad = None
-    level_hist = list(hist)
-    size = len(level_hist)
+    bound = 2 * rule.area
+    if rule.prefix:
+        return _check_prefix(counts, labels, rule.m_exp, bound)
+    kdom = min(1 << (rule.m_exp - rule.d_exp), counts.shape[1])
+    mass = np.add.reduce(np.sort(counts, axis=1)[:, -kdom:], axis=1)
+    worst = int(np.maximum.reduce(mass)) << rule.d_exp
+    if worst <= bound:
+        return worst, None
+    return worst, int((mass > bound >> rule.d_exp).argmax())   # mass * D > 2 * area
+
+
+def _prefix_buckets(counts: np.ndarray, labels: np.ndarray, m_exp: int):
+    """Yield (level, bucket ids, (K, B) bucket counts) for levels m_exp..1.
+
+    Level l buckets colors by their top l bits; labels ascend, so each
+    bucket is a run of columns.
+    """
     for level in range(m_exp, 0, -1):
-        scale = 1 << level
-        top = max(range(size), key=lambda v: (level_hist[v], -v))
-        count = level_hist[top]
-        ratio = Fraction(count * scale, 2 * area)
-        if ratio > worst:
-            worst = ratio
-            if count * scale > 2 * area:
-                width = m_exp - level
-                bad = tuple(
-                    c for c in range(top << width, (top + 1) << width) if hist[c] > 0
-                )
-        if size > 1:
-            level_hist = [
-                level_hist[2 * i] + level_hist[2 * i + 1] for i in range(size // 2)
-            ]
-            size //= 2
-    return worst, bad
+        ids = labels >> (m_exp - level)
+        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        yield level, ids[starts], np.add.reduceat(counts, starts, axis=1)
+
+
+def _check_prefix(counts: np.ndarray, labels: np.ndarray, m_exp: int, bound: int):
+    """Prefix rule: a level-l bucket may hold at most bound / 2^l cells."""
+    worst = 0
+    first = None
+    for level, _, buckets in _prefix_buckets(counts, labels, m_exp):
+        top = buckets.max(axis=1)
+        worst = max(worst, int(top.max()) << level)
+        over = top > bound >> level
+        if over.any():
+            k = int(over.argmax())
+            first = k if first is None else min(first, k)
+    return worst, first
+
+
+def _colorset(row: np.ndarray, labels: np.ndarray, rule: _Rule, ranked: bool):
+    """The offending color set of a violating count row.
+
+    Dominant rule: the M/D most frequent colors by (-count, color), zero
+    counts included, or, when ``ranked`` (labels from ``np.unique``), only
+    the colors present, ascending.  Prefix rule: the colors present in the
+    bucket with the largest count * 2^l; ties go to the longer prefix,
+    then to the smaller bucket.
+    """
+    if not rule.prefix:
+        top = np.argsort(-row, kind="stable")[:1 << (rule.m_exp - rule.d_exp)]
+        if ranked:
+            top = np.sort(top[row[top] > 0])
+        return tuple(int(labels[i]) for i in top)
+    best, colors = 0, None
+    for level, ids, buckets in _prefix_buckets(row[None], labels, rule.m_exp):
+        b = int(buckets[0].argmax())
+        if int(buckets[0, b]) << level > best:
+            best = int(buckets[0, b]) << level
+            inside = ((labels >> (rule.m_exp - level)) == ids[b]) & (row > 0)
+            colors = tuple(int(c) for c in labels[inside])
+    return colors
+
+
+def _scan(chunks, rule: _Rule, ranked: bool = False):
+    """(worst numerator, first witness) over (rectangle of row, count
+    matrix, labels) chunks taken in order."""
+    worst, witness = 0, None
+    for rect, counts, labels in chunks:
+        num, first = _check_counts(counts, labels, rule)
+        worst = max(worst, num)
+        if first is not None and witness is None:
+            colors = _colorset(counts[first], labels, rule, ranked)
+            witness = (rect(first), ColorSet(colors))
+    return worst, witness
+
+
+def _report(table, s_exp, rule, result, samples=None) -> VerificationReport:
+    worst, witness = result
+    n_side = table.params.n_side
+    if samples is None:
+        checked = math.comb(n_side, rule.rows) * math.comb(n_side, rule.cols)
+    else:
+        checked = samples
+    return VerificationReport(
+        mode="exhaustive" if samples is None else "sampled", samples=samples,
+        passed=witness is None, rectangles_checked=checked,
+        worst_ratio=Fraction(worst, 2 * rule.area), witness=witness,
+        check_s_exp=s_exp, check_d_exp=rule.d_exp, prefix_mode=rule.prefix,
+        table_params=table.params, table_digest=table.digest(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -148,93 +256,76 @@ def _prefix_check(hist, m_exp, area):
 # ---------------------------------------------------------------------------
 
 
-def _iter_exhaustive(cells, n_side, m_colors, s_rows, s_cols) -> Iterator[
-    tuple[tuple[int, ...], tuple[int, ...], list[int]]
-]:
-    """Yield (rows, cols, histogram) for every rows x cols rectangle with
-    |rows| = s_rows, |cols| = s_cols, in lexicographic order.
+@lru_cache(maxsize=2)
+def _enumeration(n_side: int, rows: int, cols: int, m_colors: int):
+    """What enumerating the rows x cols rectangles of an N x N table with M
+    colors needs besides its cells: the row and column subsets, each as
+    tuples and as a (count, side) index array, the color labels, the column
+    subsets per chunk and the count-row offset of each rectangle in a chunk.
 
-    Histograms are maintained incrementally: entering a row adds its colors
-    to per-column counts, entering a column adds that column's counts to
-    the rectangle histogram.
+    A chunk holds several row subsets only when it holds every column
+    subset, so chunks stay in rows-major order.  Its gathered cells and its
+    count matrix hold at most _CHUNK entries, unless one rectangle's do.
     """
-    colhist = [[0] * n_side for _ in range(m_colors)]
-    hist = [0] * m_colors
-    rows_stack: list[int] = []
-    cols_stack: list[int] = []
-
-    def cols_rec(start: int):
-        if len(cols_stack) == s_cols:
-            yield tuple(rows_stack), tuple(cols_stack), hist
-            return
-        remaining = s_cols - len(cols_stack)
-        for c in range(start, n_side - remaining + 1):
-            cols_stack.append(c)
-            for m in range(m_colors):
-                hist[m] += colhist[m][c]
-            yield from cols_rec(c + 1)
-            for m in range(m_colors):
-                hist[m] -= colhist[m][c]
-            cols_stack.pop()
-
-    def rows_rec(start: int):
-        if len(rows_stack) == s_rows:
-            yield from cols_rec(0)
-            return
-        remaining = s_rows - len(rows_stack)
-        for r in range(start, n_side - remaining + 1):
-            rows_stack.append(r)
-            rowvals = cells[r]
-            for c in range(n_side):
-                colhist[rowvals[c]][c] += 1
-            yield from rows_rec(r + 1)
-            for c in range(n_side):
-                colhist[rowvals[c]][c] -= 1
-            rows_stack.pop()
-
-    yield from rows_rec(0)
+    row_sets = tuple(combinations(range(n_side), rows))
+    col_sets = tuple(combinations(range(n_side), cols))
+    per_rect = max(rows * cols, m_colors)
+    n_cols = min(len(col_sets), max(1, _CHUNK // per_rect))
+    n_rows = 1
+    if n_cols == len(col_sets):
+        n_rows = min(len(row_sets), max(1, _CHUNK // (n_cols * per_rect)))
+    rect_ids = np.arange(n_rows)[:, None, None, None] * n_cols
+    rect_ids = rect_ids + np.arange(n_cols)[:, None]
+    arrays = (
+        np.array(row_sets, dtype=np.intp).reshape(len(row_sets), rows),
+        np.array(col_sets, dtype=np.intp).reshape(len(col_sets), cols),
+        np.arange(m_colors),
+        rect_ids * m_colors,            # (rows in chunk, 1, cols in chunk, 1)
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    return row_sets, col_sets, *arrays, n_cols
 
 
-def _explicit_cells_lists(table: BalancedTable) -> list[list[int]]:
+def _exhaustive(table: BalancedTable, rule: _Rule, enum_cap: int):
+    """Yield (rectangle of row, count matrix, labels) chunks covering every
+    rectangle of the rule's sides, rows-major in lexicographic order.
+
+    Each chunk gathers its rectangles' cells with two ``take`` calls and
+    counts them with one ``bincount``, each rectangle into its own row.
+    """
     if table.cells is None:
         raise TooLarge("exhaustive verification requires an explicit table")
-    return table.cells.tolist()
-
-
-def _check_enum_cap(n_side: int, s_side: int, enum_cap: int) -> int:
-    count = math.comb(n_side, s_side) ** 2
+    n_side, m_colors = table.params.n_side, table.params.m_colors
+    count = math.comb(n_side, rule.rows) * math.comb(n_side, rule.cols)
     if count > enum_cap:
         raise TooLarge(f"{count} rectangles exceed the enumeration cap {enum_cap}")
-    return count
+    row_sets, col_sets, row_index, col_index, labels, offsets, n_cols = _enumeration(
+        n_side, rule.rows, rule.cols, m_colors
+    )
+    for r0 in range(0, len(row_sets), len(offsets)):
+        rows = row_index[r0:r0 + len(offsets)]
+        block = table.cells.take(rows, axis=0)                 # (k, rows, N)
+        for c0 in range(0, len(col_sets), n_cols):
+            chunk = col_index[c0:c0 + n_cols]
+            grid = block.take(chunk, axis=2)                   # (k, rows, w, cols)
+            slots = grid + offsets[:len(block), :, :len(chunk)]
+            size = len(block) * len(chunk) * m_colors
+            counts = np.bincount(slots.ravel(), minlength=size)
+
+            def rect(i, r0=r0, c0=c0, width=len(chunk)):
+                r, c = divmod(i, width)
+                return Rectangle(row_sets[r0 + r], col_sets[c0 + c])
+
+            yield rect, counts.reshape(-1, m_colors), labels
 
 
-def _run_exhaustive(
-    table: BalancedTable,
-    s_exp: int,
-    check: Callable[[list[int], int], tuple[Fraction, tuple[int, ...] | None]],
-    enum_cap: int,
-    sides: tuple[int, int] | None = None,
-):
-    p = table.params
-    n_side = p.n_side
-    s_rows, s_cols = sides if sides is not None else (1 << s_exp, 1 << s_exp)
-    if max(s_rows, s_cols) > n_side:
-        raise InvalidParams("rectangle side exceeds N")
-    if sides is None:
-        _check_enum_cap(n_side, s_rows, enum_cap)
-    cells = _explicit_cells_lists(table)
-    area = s_rows * s_cols
-    worst = Fraction(0)
-    witness = None
-    checked = 0
-    for rows, cols, hist in _iter_exhaustive(cells, n_side, p.m_colors, s_rows, s_cols):
-        checked += 1
-        ratio, bad = check(hist, area)
-        if ratio > worst:
-            worst = ratio
-        if bad is not None and witness is None:
-            witness = (Rectangle(rows, cols), ColorSet(bad))
-    return worst, witness, checked
+def _holds(table: BalancedTable, rule: _Rule) -> bool:
+    """Exhaustive pass/fail, stopping at the first violating chunk."""
+    for _, counts, labels in _exhaustive(table, rule, DEFAULT_ENUM_CAP):
+        if _check_counts(counts, labels, rule)[1] is not None:
+            return False
+    return True
 
 
 def verify_exhaustive(
@@ -243,45 +334,16 @@ def verify_exhaustive(
     d_exp: int,
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    threads: int = 1,
 ) -> VerificationReport:
-    """Check every S x S rectangle against the dominant-subset bound.
-
-    ``threads`` is accepted for interface uniformity; enumeration order is
-    fixed, so the report is identical for any value.
-    """
-    p = table.params
-    if not 0 <= d_exp <= p.m_exp:
-        raise InvalidParams("need 0 <= d_exp <= m_exp")
-    kdom = 1 << (p.m_exp - d_exp)
-    d_div = 1 << d_exp
-    m_colors = p.m_colors
-
-    def check(hist, area):
-        return _dominant_check(hist, m_colors, kdom, d_div, area)
-
-    worst, witness, checked = _run_exhaustive(table, s_exp, check, enum_cap)
-    return VerificationReport(
-        mode="exhaustive", samples=None, passed=witness is None,
-        rectangles_checked=checked, worst_ratio=worst, witness=witness,
-        check_s_exp=s_exp, check_d_exp=d_exp, prefix_mode=False,
-        table_params=p, table_digest=table.digest(),
-    )
+    """Check every S x S rectangle against the dominant-subset bound."""
+    rule = _rule(table, s_exp, d_exp)
+    result = _scan(_exhaustive(table, rule, enum_cap), rule)
+    return _report(table, s_exp, rule, result)
 
 
 def balance_holds(table: BalancedTable, s_exp: int, d_exp: int) -> bool:
     """Early-exit exhaustive pass/fail (used by the canonical search)."""
-    p = table.params
-    kdom = 1 << (p.m_exp - d_exp)
-    d_div = 1 << d_exp
-    s_side = 1 << s_exp
-    area = s_side * s_side
-    cells = _explicit_cells_lists(table)
-    for _, _, hist in _iter_exhaustive(cells, p.n_side, p.m_colors, s_side, s_side):
-        mass = sum(sorted(hist)[-kdom:])
-        if mass * d_div > 2 * area:
-            return False
-    return True
+    return _holds(table, _rule(table, s_exp, d_exp))
 
 
 def check_rectangle_sides(
@@ -292,18 +354,7 @@ def check_rectangle_sides(
     Supports the averaging property tests: balance verified at side S
     should persist at any larger sides.
     """
-    p = table.params
-    kdom = 1 << (p.m_exp - d_exp)
-    d_div = 1 << d_exp
-    area = side_rows * side_cols
-    cells = _explicit_cells_lists(table)
-    for _, _, hist in _iter_exhaustive(
-        cells, p.n_side, p.m_colors, side_rows, side_cols
-    ):
-        mass = sum(sorted(hist)[-kdom:])
-        if mass * d_div > 2 * area:
-            return False
-    return True
+    return _holds(table, _rule(table, None, d_exp, sides=(side_rows, side_cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,113 +387,65 @@ def _rect_colors(table: BalancedTable, rows: np.ndarray, cols: np.ndarray):
     )
 
 
-def _hist_of_grid(grid, m_colors: int):
-    """Histogram as (counts ndarray over [M]) or (values, counts) for huge M."""
-    if m_colors <= 1 << 20 and grid.dtype != object:
-        return np.bincount(grid.ravel().astype(np.int64), minlength=m_colors), None
-    values, counts = np.unique(np.asarray(grid).ravel(), return_counts=True)
-    return counts, values
-
-
-def _sampled_chunk(table, s_exp, d_exp, seed, start, count, prefix):
+def _sampled(table: BalancedTable, rule: _Rule, seed: int, start: int, count: int,
+             ranked: bool):
+    """Yield (rectangle of row, count matrix, labels) chunks for samples
+    start..start+count-1.  Draws are made once; chunks are sized by their
+    count matrix."""
     p = table.params
-    n_side = p.n_side
-    s_side = 1 << s_exp
-    area = s_side * s_side
-    m_colors = p.m_colors
-    kdom = 1 << (p.m_exp - d_exp)
-    d_div = 1 << d_exp
-    worst = Fraction(0)
-    witness = None
-    rows_all, cols_all = _sample_rect_indices(seed, start, count, n_side, s_side)
-    for b in range(count):
-        rows = rows_all[b]
-        cols = cols_all[b]
-        grid = _rect_colors(table, rows, cols)
-        if prefix:
-            counts, values = _hist_of_grid(grid, m_colors)
-            if values is None:
-                ratio, bad = _prefix_check(counts.tolist(), p.m_exp, area)
-            else:
-                hist_map = {int(v): int(c) for v, c in zip(values, counts)}
-                ratio, bad = _prefix_check_sparse(hist_map, p.m_exp, area)
+    rows_all, cols_all = _sample_rect_indices(seed, start, count, p.n_side, rule.rows)
+    if ranked:    # k rectangles hold at most k * area distinct colors
+        step = max(1, math.isqrt(_CHUNK // rule.area))
+    else:
+        step = max(1, _CHUNK // p.m_colors)
+        labels = np.arange(p.m_colors)
+    for b0 in range(0, count, step):
+        rects = list(zip(rows_all[b0:b0 + step], cols_all[b0:b0 + step]))
+        if ranked:
+            grids = [_rect_colors(table, r, c).ravel() for r, c in rects]
+            labels, inverse = np.unique(np.concatenate(grids), return_inverse=True)
+            which = np.repeat(np.arange(len(rects)), rule.area) * len(labels) + inverse
+            counts = np.bincount(which, minlength=len(rects) * len(labels))
+            counts = counts.reshape(len(rects), len(labels))
         else:
-            counts, values = _hist_of_grid(grid, m_colors)
-            if values is None:
-                ratio, bad = _dominant_check(counts.tolist(), m_colors, kdom, d_div, area)
-            else:
-                ratio, bad = _dominant_check_sparse(
-                    counts.tolist(), [int(v) for v in values], kdom, d_div, area
-                )
-        if ratio > worst:
-            worst = ratio
-        if bad is not None and witness is None:
-            witness = (
-                Rectangle(tuple(int(r) for r in rows), tuple(int(c) for c in cols)),
-                ColorSet(bad),
-            )
-    return worst, witness
+            counts = np.empty((len(rects), p.m_colors), dtype=np.int64)
+            for k, (r, c) in enumerate(rects):
+                grid = _rect_colors(table, r, c).ravel().astype(np.int64)
+                counts[k] = np.bincount(grid, minlength=p.m_colors)
+
+        def rect(k, rects=rects):
+            rows, cols = rects[k]
+            return Rectangle(tuple(int(i) for i in rows), tuple(int(i) for i in cols))
+
+        yield rect, counts, labels
 
 
-def _dominant_check_sparse(counts, values, kdom, d_div, area):
-    order = sorted(range(len(values)), key=lambda i: (-counts[i], values[i]))[:kdom]
-    mass = sum(counts[i] for i in order)
-    ratio = Fraction(mass * d_div, 2 * area)
-    if mass * d_div > 2 * area:
-        return ratio, tuple(sorted(values[i] for i in order))
-    return ratio, None
-
-
-def _prefix_check_sparse(hist_map: dict, m_exp: int, area: int):
-    worst = Fraction(0)
-    bad = None
-    level = {int(v): int(c) for v, c in hist_map.items()}
-    for l in range(m_exp, 0, -1):
-        scale = 1 << l
-        top = max(level, key=lambda v: (level[v], -v))
-        count = level[top]
-        ratio = Fraction(count * scale, 2 * area)
-        if ratio > worst:
-            worst = ratio
-            if count * scale > 2 * area:
-                width = m_exp - l
-                lo, hi = top << width, (top + 1) << width
-                bad = tuple(sorted(v for v in hist_map if lo <= v < hi))
-        folded: dict[int, int] = {}
-        for v, c in level.items():
-            folded[v >> 1] = folded.get(v >> 1, 0) + c
-        level = folded
-    return worst, bad
-
-
-def _run_sampled(table, s_exp, d_exp, samples, seed, threads, prefix):
+def _run_sampled(table: BalancedTable, rule: _Rule, samples: int, seed: int,
+                 threads: int):
+    """(worst numerator, witness) over ``samples`` rectangles.  Worker
+    chunks merge in sample order, so the report does not depend on
+    ``threads``."""
     if samples < 1:
         raise InvalidParams("need samples >= 1")
-    chunks = []
+    if threads < 1:
+        raise InvalidParams("need threads >= 1")
     per = (samples + threads - 1) // threads
-    starts = list(range(0, samples, per))
-    if threads <= 1 or len(starts) == 1:
-        results = [
-            _sampled_chunk(table, s_exp, d_exp, seed, s0, min(per, samples - s0), prefix)
-            for s0 in starts
-        ]
+    starts = range(0, samples, per)
+    # rank the colors present instead of indexing all M of them when there
+    # are too many colors or they are Python ints
+    ranked = table.params.m_colors > _DENSE_COLORS or table.params.n_exp > 64
+
+    def run(s0):
+        chunks = _sampled(table, rule, seed, s0, min(per, samples - s0), ranked)
+        return _scan(chunks, rule, ranked)
+
+    if threads == 1 or len(starts) == 1:
+        results = [run(s0) for s0 in starts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(
-                    _sampled_chunk, table, s_exp, d_exp, seed, s0,
-                    min(per, samples - s0), prefix,
-                )
-                for s0 in starts
-            ]
-            results = [f.result() for f in futs]
-    worst = Fraction(0)
-    witness = None
-    for w, wit in results:  # merged in chunk order: first witness is deterministic
-        if w > worst:
-            worst = w
-        if wit is not None and witness is None:
-            witness = wit
+            results = list(pool.map(run, starts))
+    worst = max(num for num, _ in results)
+    witness = next((wit for _, wit in results if wit is not None), None)
     return worst, witness
 
 
@@ -456,18 +459,9 @@ def verify_sampled(
     threads: int = 1,
 ) -> VerificationReport:
     """Dominant-subset check on ``samples`` seeded random S x S rectangles."""
-    p = table.params
-    if not 0 <= d_exp <= p.m_exp:
-        raise InvalidParams("need 0 <= d_exp <= m_exp")
-    if (1 << s_exp) > p.n_side:
-        raise InvalidParams("rectangle side exceeds N")
-    worst, witness = _run_sampled(table, s_exp, d_exp, samples, seed, threads, False)
-    return VerificationReport(
-        mode="sampled", samples=samples, passed=witness is None,
-        rectangles_checked=samples, worst_ratio=worst, witness=witness,
-        check_s_exp=s_exp, check_d_exp=d_exp, prefix_mode=False,
-        table_params=p, table_digest=table.digest(),
-    )
+    rule = _rule(table, s_exp, d_exp)
+    result = _run_sampled(table, rule, samples, seed, threads)
+    return _report(table, s_exp, rule, result, samples)
 
 
 def verify_prefix_balance(
@@ -485,24 +479,13 @@ def verify_prefix_balance(
     Applies in the D = M regime: for each prefix v of length l in
     [1, m_exp], the cells whose color starts with v must number at most
     2 * 2^-l * area.  At l = m_exp this is exactly the single-color
-    dominant check.
+    dominant check.  ``threads`` applies to sampled mode.
     """
-    p = table.params
+    rule = _rule(table, s_exp, table.params.m_exp, prefix=True)
     if mode == "exhaustive":
-        def check(hist, area):
-            return _prefix_check(hist, p.m_exp, area)
-
-        worst, witness, checked = _run_exhaustive(table, s_exp, check, enum_cap)
-        samples_out = None
-    elif mode == "sampled":
-        worst, witness = _run_sampled(table, s_exp, p.m_exp, samples, seed, threads, True)
-        checked = samples
-        samples_out = samples
-    else:
-        raise InvalidParams(f"unknown mode {mode!r}")
-    return VerificationReport(
-        mode=mode, samples=samples_out, passed=witness is None,
-        rectangles_checked=checked, worst_ratio=worst, witness=witness,
-        check_s_exp=s_exp, check_d_exp=p.m_exp, prefix_mode=True,
-        table_params=p, table_digest=table.digest(),
-    )
+        result = _scan(_exhaustive(table, rule, enum_cap), rule)
+        return _report(table, s_exp, rule, result)
+    if mode == "sampled":
+        result = _run_sampled(table, rule, samples, seed, threads)
+        return _report(table, s_exp, rule, result, samples)
+    raise InvalidParams(f"unknown mode {mode!r}")

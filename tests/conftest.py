@@ -1,6 +1,7 @@
-"""Shared test helpers: structured balanced micro tables and the naive
-all-colorset balance oracle."""
+"""Shared test helpers: structured balanced micro tables, the naive
+all-colorset balance oracle and scalar per-rectangle check oracles."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -69,6 +70,48 @@ def naive_balance_oracle(table: BalancedTable, s_exp: int, d_exp: int) -> bool:
                 if mass * d_div > bound_rhs:
                     return False
     return True
+
+
+def dominant_check_oracle(hist, m_colors, kdom, d_div, area):
+    """(ratio, offending colorset or None) for the dominant-subset rule:
+    the kdom most frequent colors by (-count, color) against 2 * area / D."""
+    order = sorted(range(m_colors), key=lambda c: (-hist[c], c))
+    mass = sum(hist[c] for c in order[:kdom])
+    ratio = Fraction(mass * d_div, 2 * area)
+    if mass * d_div > 2 * area:
+        return ratio, tuple(order[:kdom])
+    return ratio, None
+
+
+def prefix_check_oracle(hist, m_exp, area):
+    """Worst (ratio, bad colorset) over all prefix lengths 1..m_exp.
+
+    Level l partitions colors by their top l bits; the count of any bucket
+    must be <= 2 * area / 2^l.  Buckets are produced by pairwise folding
+    from the full histogram.
+    """
+    worst = Fraction(0)
+    bad = None
+    level_hist = list(hist)
+    size = len(level_hist)
+    for level in range(m_exp, 0, -1):
+        scale = 1 << level
+        top = max(range(size), key=lambda v: (level_hist[v], -v))
+        count = level_hist[top]
+        ratio = Fraction(count * scale, 2 * area)
+        if ratio > worst:
+            worst = ratio
+            if count * scale > 2 * area:
+                width = m_exp - level
+                bad = tuple(
+                    c for c in range(top << width, (top + 1) << width) if hist[c] > 0
+                )
+        if size > 1:
+            level_hist = [
+                level_hist[2 * i] + level_hist[2 * i + 1] for i in range(size // 2)
+            ]
+            size //= 2
+    return worst, bad
 
 
 @pytest.fixture

@@ -103,6 +103,29 @@ class TestGenVerify:
         assert doc["prefix_mode"] is True
         assert code in (0, 2)
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "sampled", "--prefix-balance", "--s-exp", "4"],
+        ["--s-exp", "-1"],
+        ["--mode", "sampled", "--threads", "0"],
+    ])
+    def test_out_of_range_check_is_one_line_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "t.btab"
+        run(
+            capsys, "gen-table", "--n-exp", "3", "--m-exp", "2", "--s-exp", "2",
+            "--d-exp", "2", "--backend", "random", "--seed", "3", "--out", str(out),
+        )
+        code, stdout, err = run(capsys, "verify-table", "--table", str(out), *argv)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: invalid-params:") and err.count("\n") == 1
+
+    def test_truncated_table_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "short.btab"
+        out.write_bytes(b"BTAB\x01")
+        code, _, err = run(capsys, "verify-table", "--table", str(out))
+        assert code == 1
+        assert err.startswith("error: invalid-params: truncated table file")
+        assert err.count("\n") == 1
+
     def test_missing_table_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify-table", "--table", str(tmp_path / "no.btab"))
         assert code == 3
@@ -239,6 +262,17 @@ class TestExperimentCommand:
         doc = json.loads(summ.read_text())
         assert doc["trials"] == 300 and doc["m_exp"] == 8
         assert csvp.read_text().startswith("trial,seed,dep_planted,dep_hat,z_hex")
+
+    def test_exponents_beyond_file_format(self, capsys):
+        # n = 256 needs a keyed table whose n_exp no file can hold; its
+        # digest comes from the wide header
+        code, stdout, _ = run(
+            capsys, "experiment", "--n", "256", "--sigma", "1/2", "--alpha", "1/8",
+            "--trials", "2", "--seed", "1",
+        )
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["n"] == 256 and len(doc["table_digest"]) == 64
 
     def test_threads_identical_bytes(self, tmp_path, capsys):
         blobs = []

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -243,6 +245,45 @@ class TestSerialization:
     def test_rejects_oversize_exponents(self):
         t = keyed_table(TableParams(300, 40, 50, 40), key=1)
         with pytest.raises(InvalidParams):
+            t.to_bytes()
+
+    def test_rejects_truncated_header(self):
+        data = random_table(TableParams(2, 1, 1, 0), 0).to_bytes()
+        for cut in (b"BTAB", b"BTAB\x01", data[:26]):
+            with pytest.raises(InvalidParams, match="truncated"):
+                BalancedTable.from_bytes(cut)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzzed_files_raise_only_invalid_params(self, data):
+        blob = bytearray(random_table(TableParams(3, 2, 2, 1), 4).to_bytes())
+        if data.draw(st.booleans()):
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        for _ in range(data.draw(st.integers(0, 3))):
+            if blob:
+                i = data.draw(st.integers(0, len(blob) - 1))
+                blob[i] ^= 1 << data.draw(st.integers(0, 7))
+        try:
+            BalancedTable.from_bytes(bytes(blob))
+        except InvalidParams:
+            pass
+
+    def test_digest_is_hash_of_file_bytes(self):
+        for t in (random_table(TableParams(4, 3, 2, 1), seed=3),
+                  keyed_table(TableParams(255, 255, 255, 255), key=7)):
+            assert t.digest() == hashlib.sha256(t.to_bytes()).hexdigest()
+        t = random_table(TableParams(3, 2, 2, 1), 5)
+        assert t.digest() == (
+            "81f05280ebb34410ec309e059f51297d89141d8f8ab3821f6b75bec38e35cda6"
+        )
+
+    def test_digest_of_oversize_exponents_hashes_wide_header(self):
+        key = key_from_seed(1)
+        t = keyed_table(TableParams(256, 128, 64, 3), key)
+        wide = b"BTBW" + struct.pack("<HBIIII", 1, BACKEND_KEYED, 256, 128, 64, 3)
+        wide += key.to_bytes(16, "little")
+        assert t.digest() == hashlib.sha256(wide).hexdigest()
+        with pytest.raises(InvalidParams, match="n_exp = 256 exceeds"):
             t.to_bytes()
 
     def test_file_roundtrip(self, tmp_path):

@@ -7,14 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balext.core import InvalidParams, TableParams, TooLarge
+from balext import verify
 from balext.tables import BalancedTable, keyed_table, key_from_seed, random_table
 from balext.verify import (
+    _check_counts,
+    _colorset,
+    _Rule,
     check_rectangle_sides,
     verify_exhaustive,
     verify_prefix_balance,
     verify_sampled,
 )
-from conftest import constant_table, naive_balance_oracle, structured_table
+from conftest import (
+    constant_table,
+    dominant_check_oracle,
+    naive_balance_oracle,
+    prefix_check_oracle,
+    structured_table,
+)
 
 
 class TestDominantSubsetEquivalence:
@@ -39,6 +49,59 @@ class TestDominantSubsetEquivalence:
                     mass = int(sum(hist[a] for a in colorset))
                     worst = max(worst, Fraction(mass * 4, 2 * 16))
         assert report.worst_ratio == worst
+
+
+@st.composite
+def count_rows(draw):
+    """(m_exp, d_exp, area, rows): count vectors over M = 2^m_exp colors with
+    many ties; in about half the draws every row has at most M/D colors
+    present, so zero-count colors enter the dominant witness."""
+    m_exp = draw(st.integers(1, 6))
+    d_exp = draw(st.integers(0, m_exp))
+    m_colors = 1 << m_exp
+    limit = m_colors >> d_exp if draw(st.booleans()) else m_colors
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        present = draw(st.lists(st.integers(0, m_colors - 1), min_size=1,
+                                max_size=limit, unique=True))
+        row = [0] * m_colors
+        for c in present:
+            row[c] = draw(st.integers(1, 4))
+        rows.append(row)
+    area = draw(st.integers(1, max(sum(r) for r in rows)))
+    return m_exp, d_exp, area, rows
+
+
+class TestCoreAgainstScalarOracles:
+    """The vectorized core, dense and ranked, against the scalar checks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(count_rows(), st.booleans())
+    def test_matches_oracles(self, case, prefix):
+        m_exp, d_exp, area, rows = case
+        m_colors = 1 << m_exp
+        if prefix:
+            d_exp = m_exp
+            expected = [prefix_check_oracle(r, m_exp, area) for r in rows]
+        else:
+            kdom, d_div = m_colors >> d_exp, 1 << d_exp
+            expected = [dominant_check_oracle(r, m_colors, kdom, d_div, area)
+                        for r in rows]
+        worst = max(ratio for ratio, _ in expected)
+        first = next((k for k, (_, bad) in enumerate(expected) if bad), None)
+        rule = _Rule(m_exp, d_exp, prefix, area, 1)
+        counts = np.array(rows, dtype=np.int64)
+        present = np.flatnonzero(counts.any(axis=0))
+        for labels, ranked in ((np.arange(m_colors), False), (present, True)):
+            num, got_first = _check_counts(counts[:, labels], labels, rule)
+            assert Fraction(num, 2 * area) == worst
+            assert got_first == first
+            if first is None:
+                continue
+            want = expected[first][1]
+            if ranked:
+                want = tuple(sorted(c for c in want if rows[first][c] > 0))
+            assert _colorset(counts[first, labels], labels, rule, ranked) == want
 
 
 class TestExhaustive:
@@ -69,6 +132,37 @@ class TestExhaustive:
         t = random_table(TableParams(10, 4, 8, 1), 0)
         with pytest.raises(TooLarge):
             verify_exhaustive(t, 5, 1, enum_cap=10_000)
+
+    def test_single_cells_of_a_large_table(self):
+        # 2^20 single-cell rectangles of a 2^10 table, chunk by chunk: each
+        # holds one cell, so with D = 2 every ratio is 2 * 1 / (2 * 1) = 1
+        t = random_table(TableParams(10, 4, 0, 1), 0)
+        report = verify_exhaustive(t, 0, 1)
+        assert report.passed
+        assert report.rectangles_checked == 1 << 20
+        assert report.worst_ratio == 1
+
+    def test_chunking_keeps_reports(self, monkeypatch):
+        # tiny chunks split the column subsets of one row subset across
+        # chunks; witnesses must stay first in rows-major order
+        tables = [constant_table()] + [random_table(TableParams(3, 2, 2, 1), s)
+                                       for s in range(4)]
+
+        def reports():
+            verify._enumeration.cache_clear()
+            out = []
+            for t in tables:
+                out += [verify_exhaustive(t, 2, d).to_json() for d in (1, 2)]
+                out.append(verify_prefix_balance(t, 1).to_json())
+                out += [check_rectangle_sides(t, r, c, 2) for r, c in ((3, 5), (8, 2))]
+            return out
+
+        want = reports()
+        monkeypatch.setattr(verify, "_CHUNK", 8)
+        try:
+            assert reports() == want
+        finally:
+            verify._enumeration.cache_clear()
 
     def test_requires_explicit(self):
         t = keyed_table(TableParams(3, 2, 2, 1), key=1)
@@ -140,10 +234,48 @@ class TestSampled:
         assert report.witness is not None
         assert report.worst_ratio > 1
 
+    def test_keyed_wide_colors_prefix_matches_color_check(self):
+        # a bucket never outweighs its heaviest color (count * 2^l), so the
+        # prefix check reduces to the D = M color check, here on ranked
+        # Python-int colors
+        t = keyed_table(TableParams(8, 80, 4, 80), key=key_from_seed(9))
+        prefix = verify_prefix_balance(t, 4, mode="sampled", samples=20, seed=0)
+        color = verify_sampled(t, 4, 80, 20, seed=0)
+        assert prefix.witness == color.witness
+        assert prefix.worst_ratio == color.worst_ratio
+
     def test_samples_validation(self):
         t = constant_table()
         with pytest.raises(InvalidParams):
             verify_sampled(t, 2, 2, 0, seed=0)
+        with pytest.raises(InvalidParams):
+            verify_sampled(t, 2, 2, 10, seed=0, threads=0)
+
+
+class TestParameterChecks:
+    """Every verifier refuses out-of-range sides and exponents with
+    InvalidParams instead of passing vacuously or crashing."""
+
+    @pytest.mark.parametrize("sides", [(9, 9), (0, 0), (4, 9), (0, 4)])
+    def test_rectangle_sides_outside_table(self, sides):
+        with pytest.raises(InvalidParams):
+            check_rectangle_sides(structured_table(0), *sides, 2)
+
+    @pytest.mark.parametrize("s_exp", [-1, 4])
+    def test_s_exp_outside_table(self, s_exp):
+        t = constant_table()
+        for verify in (
+            lambda: verify_exhaustive(t, s_exp, 1),
+            lambda: verify_sampled(t, s_exp, 1, 10, seed=0),
+            lambda: verify_prefix_balance(t, s_exp),
+            lambda: verify_prefix_balance(t, s_exp, mode="sampled", samples=10),
+        ):
+            with pytest.raises(InvalidParams):
+                verify()
+
+    def test_d_exp_outside_colors(self):
+        with pytest.raises(InvalidParams):
+            check_rectangle_sides(constant_table(), 4, 4, 3)
 
 
 class TestPrefixBalance:
@@ -206,3 +338,62 @@ class TestReportJson:
         assert doc["mode"] == "sampled"
         assert doc["samples"] == 17
         assert doc["witness"] is None
+
+
+class TestPinnedReports:
+    """Exact report bytes, witnesses included.
+
+    Dense witnesses list the M/D most frequent colors by (-count, color),
+    zero counts included; ranked (sparse) ones list only the colors present,
+    ascending.  A prefix witness is the bucket with the largest count * 2^l.
+    """
+
+    def test_exhaustive_dominant(self):
+        report = verify_exhaustive(random_table(TableParams(3, 2, 2, 1), 5), 2, 2)
+        assert report.to_json() == (
+            '{"mode": "exhaustive", "params": {"d_exp": 2, "m_exp": 2, "n_exp": 3, '
+            '"s_exp": 2}, "passed": false, "prefix_mode": false, '
+            '"rectangles_checked": 4900, "table_digest": '
+            '"81f05280ebb34410ec309e059f51297d89141d8f8ab3821f6b75bec38e35cda6", '
+            '"witness": {"colors": [0], "cols": [1, 2, 3, 4], "rows": [0, 2, 4, 5]}, '
+            '"worst_ratio": {"den": 4, "num": 5}}'
+        )
+
+    def test_exhaustive_prefix(self):
+        report = verify_prefix_balance(random_table(TableParams(3, 3, 2, 3), 0), 2)
+        assert report.to_json() == (
+            '{"mode": "exhaustive", "params": {"d_exp": 3, "m_exp": 3, "n_exp": 3, '
+            '"s_exp": 2}, "passed": false, "prefix_mode": true, '
+            '"rectangles_checked": 4900, "table_digest": '
+            '"146b8b4d63fa566e11b09d5f4512933daea77a6b0391f54dfb1b84ea5242c8be", '
+            '"witness": {"colors": [6], "cols": [0, 1, 3, 6], "rows": [0, 1, 2, 3]}, '
+            '"worst_ratio": {"den": 1, "num": 2}}'
+        )
+
+    def test_sampled_explicit_lists_zero_count_colors(self):
+        # the witness rectangle holds colors 10, 10, 0, 14: M/D = 4 colors by
+        # (-count, color), so zero-count color 1 completes the set
+        t = random_table(TableParams(5, 4, 1, 2), 11)
+        report = verify_sampled(t, 1, 2, 6, seed=2)
+        assert report.to_json() == (
+            '{"mode": "sampled", "params": {"d_exp": 2, "m_exp": 4, "n_exp": 5, '
+            '"s_exp": 1}, "passed": false, "prefix_mode": false, '
+            '"rectangles_checked": 6, "samples": 6, "table_digest": '
+            '"942f38b7fe09c8e5208e159eb615cbd33e7b7ac9a2810de55e43b01f8abdb51d", '
+            '"witness": {"colors": [10, 0, 14, 1], "cols": [2, 26], "rows": [12, 3]}, '
+            '"worst_ratio": {"den": 1, "num": 2}}'
+        )
+
+    def test_sampled_keyed_ranked_colors(self):
+        t = keyed_table(TableParams(8, 80, 4, 80), key=key_from_seed(9))
+        report = verify_sampled(t, 4, 80, 20, seed=0)
+        assert report.to_json() == (
+            '{"mode": "sampled", "params": {"d_exp": 80, "m_exp": 80, "n_exp": 8, '
+            '"s_exp": 4}, "passed": false, "prefix_mode": false, '
+            '"rectangles_checked": 20, "samples": 20, "table_digest": '
+            '"d74f671f090313beb2e9fd0826e03dc6d122a26b980e40cde1efb19041d674f7", '
+            '"witness": {"colors": [1585777743999640875442], "cols": [70, 56, 225, '
+            '41, 109, 133, 96, 0, 138, 62, 226, 98, 51, 255, 97, 140], "rows": [167, '
+            '179, 100, 169, 202, 41, 200, 73, 101, 149, 108, 36, 32, 147, 150, 99]}, '
+            '"worst_ratio": {"den": 1, "num": 2361183241434822606848}}'
+        )
