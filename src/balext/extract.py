@@ -60,13 +60,16 @@ class TablePolicy:
 _table_cache: dict[tuple, BalancedTable] = {}
 _table_cache_lock = threading.Lock()
 _TABLE_CACHE_MAX = 8
+_TABLE_CACHE_MAX_BYTES = 1 << 25   # cell bytes kept beyond the newest table
 
 
 def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
     """Construct (or fetch from a small cache) the policy's table.
 
     Cached instances are immutable, so this is observationally identical
-    to reconstructing the table on every call.
+    to reconstructing the table on every call.  The cache keeps at most
+    ``_TABLE_CACHE_MAX`` tables and, apart from the newest one, at most
+    ``_TABLE_CACHE_MAX_BYTES`` of cells; the oldest entries go first.
     """
     kind = policy.kind
     if kind == "auto":
@@ -89,10 +92,18 @@ def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
     else:
         table = canonical_table(params, micro_cap=policy.micro_cap)
     with _table_cache_lock:
-        if len(_table_cache) >= _TABLE_CACHE_MAX:
-            _table_cache.pop(next(iter(_table_cache)))
+        _table_cache.pop(key, None)
         _table_cache[key] = table
+        while len(_table_cache) > 1 and (
+            len(_table_cache) > _TABLE_CACHE_MAX
+            or _cached_cell_bytes() > _TABLE_CACHE_MAX_BYTES
+        ):
+            _table_cache.pop(next(iter(_table_cache)))
     return table
+
+
+def _cached_cell_bytes() -> int:
+    return sum(t.cells.nbytes for t in _table_cache.values() if t.cells is not None)
 
 
 def _lookup_bits(table: BalancedTable, x: BitString, y: BitString) -> BitString:

@@ -20,8 +20,10 @@ probability concentrates fast.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -66,19 +68,25 @@ class PlantedPairSpec:
 
     @property
     def shared_bits(self) -> int:
-        return round_half_up(Fraction(self.alpha) * self.n)
+        return _bit_counts(self.n, self.sigma, self.alpha)[0]
 
     @property
     def random_bits(self) -> int:
-        return round_half_up(Fraction(self.sigma) * self.n)
+        return _bit_counts(self.n, self.sigma, self.alpha)[1]
+
+
+@functools.lru_cache(maxsize=256)
+def _bit_counts(n: int, sigma, alpha) -> tuple[int, int]:
+    # (shared, random) bits of a pair; every trial of an experiment asks again
+    return round_half_up(Fraction(alpha) * n), round_half_up(Fraction(sigma) * n)
 
 
 def gen_planted_pair(spec: PlantedPairSpec) -> tuple[BitString, BitString]:
     """Deterministic planted pair; streams 1, 2, 3 of the spec seed feed
     r1, r2, and the shared block respectively."""
-    n_shared = spec.shared_bits
-    n_free = spec.random_bits - n_shared
-    pad = spec.n - spec.random_bits
+    n_shared, n_random = _bit_counts(spec.n, spec.sigma, spec.alpha)
+    n_free = n_random - n_shared
+    pad = spec.n - n_random
     shared = stream_bits(substream(spec.seed, 3), n_shared)
     r1 = stream_bits(substream(spec.seed, 1), n_free)
     r2 = stream_bits(substream(spec.seed, 2), n_free)
@@ -134,6 +142,9 @@ class _SuffixAutomaton:
         self.last = cur
 
 
+_MEMO_MAX = 1 << 16   # costs remembered per MatchCompressor
+
+
 def _gamma_bits(n: int) -> int:
     # Elias gamma code length for n >= 1
     return 2 * (n.bit_length() - 1) + 1
@@ -156,10 +167,26 @@ class MatchCompressor:
     max(1, ceil(log2 i)) encodes a match start within the emitted text.
     The estimate is the total token cost; the empty string costs 1 (an
     empty-stream marker).
+
+    ``estimate`` remembers the cost of each (value, length) it has parsed,
+    up to ``_MEMO_MAX`` entries per instance; the memo starts over when
+    full.  ``cost_bits`` always parses.
     """
 
+    def __init__(self) -> None:
+        self._memo: dict[tuple[int, int], int] = {}
+        self._memo_lock = threading.Lock()
+
     def estimate(self, s: BitString) -> float:
-        return float(self.cost_bits(s))
+        key = (s.value, s.length)
+        cost = self._memo.get(key)
+        if cost is None:
+            cost = self.cost_bits(s)
+            with self._memo_lock:
+                if len(self._memo) >= _MEMO_MAX:
+                    self._memo.clear()
+                self._memo[key] = cost
+        return float(cost)
 
     def cost_bits(self, s: BitString) -> int:
         n = len(s)
@@ -312,6 +339,7 @@ class ExperimentReport:
 
 def _experiment_chunk(spec, table, m_exp, estimator, start, count):
     hexw = (m_exp + 3) // 4
+    n_shared = spec.shared_bits
     rows = []
     outs: Counter = Counter()
     for t in range(start, start + count):
@@ -322,9 +350,7 @@ def _experiment_chunk(spec, table, m_exp, estimator, start, count):
         z = table.lookup(x.value, y.value)
         outs[z] += 1
         dep_hat = dep_estimate(x, y, estimator)
-        rows.append(
-            TrialRow(t, t_seed, spec.shared_bits, dep_hat, format(z, f"0{hexw}x"))
-        )
+        rows.append(TrialRow(t, t_seed, n_shared, dep_hat, format(z, f"0{hexw}x")))
     return rows, outs
 
 
@@ -344,6 +370,8 @@ def run_extraction_experiment(
     """
     if trials < 1:
         raise InvalidParams("need trials >= 1")
+    if threads < 1:
+        raise InvalidParams("need threads >= 1")
     estimator = estimator if estimator is not None else MatchCompressor()
     params = derive_string_params(spec.n, spec.sigma, spec.alpha, strict=False)
     table = table_for(params.table_params(), policy)

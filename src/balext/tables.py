@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +63,7 @@ _BACKEND_NAMES = {BACKEND_RANDOM: "random",
 EXPLICIT_N_EXP_CAP = 12      # default cap: at most 2**24 explicit cells
 EXPLICIT_M_EXP_CAP = 16      # colors must fit the 1/2-byte cell storage
 MICRO_DESCRIPTION_CAP = 24   # canonical search cap on N*N*m_exp bits
+_FILL_CHUNK = 1 << 16        # cells per fill step: its uint64 temporaries stay in cache
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,7 @@ class BalancedTable:
     backend: int
     seed_or_key: int
     cells: np.ndarray | None
+    _digest: str | None = field(default=None, init=False, repr=False)
 
     @property
     def backend_name(self) -> str:
@@ -244,7 +246,7 @@ class BalancedTable:
             self.seed_or_key, self.params.n_exp, self.params.m_exp, row, col
         )
 
-    def _encode(self, layout) -> bytes:
+    def _header(self, layout) -> bytes:
         magic, fmt, limit = layout
         p = self.params
         for name, e in (("n_exp", p.n_exp), ("m_exp", p.m_exp),
@@ -254,17 +256,19 @@ class BalancedTable:
         header = magic + struct.pack(
             fmt, FORMAT_VERSION, self.backend, p.n_exp, p.m_exp, p.s_exp, p.d_exp
         )
-        header += self.seed_or_key.to_bytes(16, "little")
+        return header + self.seed_or_key.to_bytes(16, "little")
+
+    def _body(self) -> np.ndarray | None:
+        """The cells in file byte order, a view whenever they already are."""
         if self.cells is None:
-            return header
-        if self.params.m_exp <= 8:
-            body = self.cells.astype(np.uint8).tobytes()
-        else:
-            body = self.cells.astype("<u2").tobytes()
-        return header + body
+            return None
+        dt = np.uint8 if self.params.m_exp <= 8 else np.dtype("<u2")
+        return np.ascontiguousarray(self.cells, dtype=dt)
 
     def to_bytes(self) -> bytes:
-        return self._encode(_FILE_HEADER)
+        header = self._header(_FILE_HEADER)
+        body = self._body()
+        return header if body is None else header + body.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BalancedTable":
@@ -310,11 +314,16 @@ class BalancedTable:
 
     def digest(self) -> str:
         """SHA-256 of the file bytes, or of the wide header encoding when an
-        exponent exceeds the file format's 255."""
-        p = self.params
-        wide = max(p.n_exp, p.m_exp, p.s_exp, p.d_exp) > 0xFF
-        layout = _WIDE_HEADER if wide else _FILE_HEADER
-        return hashlib.sha256(self._encode(layout)).hexdigest()
+        exponent exceeds the file format's 255.  Computed once per table."""
+        if self._digest is None:
+            p = self.params
+            wide = max(p.n_exp, p.m_exp, p.s_exp, p.d_exp) > 0xFF
+            h = hashlib.sha256(self._header(_WIDE_HEADER if wide else _FILE_HEADER))
+            body = self._body()
+            if body is not None:
+                h.update(body)
+            object.__setattr__(self, "_digest", h.hexdigest())
+        return self._digest
 
 
 def _random_cells(seed: int, n_exp: int, m_exp: int) -> np.ndarray:
@@ -327,11 +336,11 @@ def _random_cells(seed: int, n_exp: int, m_exp: int) -> np.ndarray:
         + np.arange(1, n_side + 1, dtype=np.uint64) * np.uint64(GAMMA)
     )
     ks = np.arange(1, n_side + 1, dtype=np.uint64) * np.uint64(GAMMA)
-    chunk = max(1, (1 << 22) // n_side)
+    chunk = max(1, _FILL_CHUNK // n_side)
     for r0 in range(0, n_side, chunk):
         r1 = min(n_side, r0 + chunk)
         vals = scramble_np(row_states[r0:r1, None] + ks[None, :])
-        out[r0:r1] = (vals & mask).astype(out.dtype)
+        np.bitwise_and(vals, mask, out=out[r0:r1], casting="unsafe")
     out.setflags(write=False)
     return out
 

@@ -289,6 +289,15 @@ class TestExperimentCommand:
         assert blobs[0] == blobs[1]
 
 
+    def test_zero_threads_is_one_line_error(self, capsys):
+        code, stdout, err = run(
+            capsys, "experiment", "--n", "12", "--sigma", "1/2", "--alpha", "1/8",
+            "--trials", "10", "--seed", "1", "--threads", "0",
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: invalid-params:") and err.count("\n") == 1
+
+
 class TestHelp:
     @pytest.mark.parametrize(
         "cmd",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balext import extract
 from balext.core import BitString, InvalidParams
 from balext.extract import TablePolicy, extract_conditional, extract_string, table_for
 from balext.core import TableParams, derive_string_params
@@ -86,6 +87,17 @@ class TestExtractString:
         t1 = table_for(params, policy)
         t2 = table_for(params, policy)
         assert t1.digest() == t2.digest()
+
+
+    def test_cache_bounded_by_cell_bytes(self):
+        params = TableParams(12, 8, 4, 2)     # 2^24 one-byte cells each
+        for seed in (101, 102, 103):
+            newest = table_for(params, TablePolicy(kind="random", seed=seed))
+        cached = [t.cells.nbytes for t in extract._table_cache.values()
+                  if t.cells is not None]
+        assert sum(cached) <= extract._TABLE_CACHE_MAX_BYTES
+        assert len(extract._table_cache) <= extract._TABLE_CACHE_MAX
+        assert table_for(params, TablePolicy(kind="random", seed=103)) is newest
 
 
 class TestExtractConditional:

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import zlib
 from collections import Counter
 from fractions import Fraction as F
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from balext.core import BitString, InvalidParams
 from balext.extract import TablePolicy
 from balext.mixing import stream_bits, stream_value, substream
+from balext import sources
 from balext.sources import (
     THETA_INDEP,
     THETA_SYM,
@@ -115,6 +118,53 @@ class TestMatchCompressor:
             assert gap <= THETA_SYM
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**40 - 1), st.integers(0, 48)),
+                    min_size=1, max_size=12))
+    def test_warm_memo_matches_fresh_parse(self, pairs):
+        # equal values at different lengths differ by leading zeros, so the
+        # memo must key on the length too
+        warm = MatchCompressor()
+        strings = [BitString(v % (1 << n), n) for v, n in pairs]
+        strings += [BitString(s.value, s.length + 3) for s in strings]
+        for s in strings + strings:
+            assert warm.estimate(s) == MatchCompressor().cost_bits(s)
+
+    def test_memo_stays_within_bound(self, monkeypatch):
+        monkeypatch.setattr(sources, "_MEMO_MAX", 8)
+        est = MatchCompressor()
+        for v in range(40):
+            s = BitString(v, 8)
+            assert est.estimate(s) == est.cost_bits(s)
+            assert len(est._memo) <= 8
+
+
+    def test_shared_memo_under_thread_switching(self, monkeypatch):
+        monkeypatch.setattr(sources, "_MEMO_MAX", 8)
+        est = MatchCompressor()
+        strings = [BitString(v, 10) for v in range(0, 1024, 7)]
+        expected = {s: est.cost_bits(s) for s in strings}
+        problems = []
+
+        def work(offset):
+            for s in strings[offset:] + strings[:offset]:
+                if est.estimate(s) != expected[s] or len(est._memo) > 8:
+                    problems.append(s)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k * 13,)) for k in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(w.is_alive() for w in workers)
+        assert problems == []
+
+
 class TestExternalAdapter:
     def test_zlib_adapter(self):
         est = ExternalCompressorEstimator(zlib.compress)
@@ -168,6 +218,13 @@ class TestExperiment:
         b = run_extraction_experiment(spec, 500, pol)
         c = run_extraction_experiment(spec, 500, pol, threads=4)
         assert a == b == c
+
+    def test_threads_below_one_rejected(self):
+        spec = PlantedPairSpec(12, F(1, 2), F(1, 8), seed=4)
+        for threads in (0, -1):
+            with pytest.raises(InvalidParams, match="threads"):
+                run_extraction_experiment(spec, 10, TablePolicy(kind="random", seed=42),
+                                          threads=threads)
 
     def test_single_trial_flags_insufficient(self):
         spec = PlantedPairSpec(12, F(1, 2), F(0), seed=1)

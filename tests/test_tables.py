@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balext.core import InvalidParams, NotFound, OutOfRange, TableParams, TooLarge
-from balext.mixing import stream_value
+from balext.mixing import stream_block_np, stream_value
+from balext import tables
 from balext.tables import (
     BACKEND_CANONICAL,
     BACKEND_KEYED,
@@ -97,6 +98,24 @@ class TestRandomTable:
         t = random_table(p, seed=99)
         for r, c in [(0, 0), (3, 7), (15, 15), (8, 1)]:
             assert t.lookup(r, c) == stream_value(stream_value(99, r), c) & 31
+
+    @pytest.mark.parametrize("n_exp, m_exp", [(9, 8), (9, 13), (12, 8), (12, 13)])
+    def test_stream_rule_at_fill_chunk_edges(self, n_exp, m_exp):
+        seed = 0xC0FFEE + n_exp + m_exp
+        t = random_table(TableParams(n_exp, m_exp, 2, 1), seed)
+        n_side, mask = 1 << n_exp, (1 << m_exp) - 1
+        rows_per_chunk = max(1, tables._FILL_CHUNK // n_side)
+        assert rows_per_chunk < n_side   # the table spans several fill chunks
+        edges = {n_side - 1}
+        for r0 in range(rows_per_chunk, n_side, rows_per_chunk):
+            edges |= {r0 - 1, r0}
+        for r in sorted(edges):
+            state = stream_value(seed, r)
+            assert np.array_equal(t.cells[r], stream_block_np(state, 0, n_side) & mask)
+            for c in (0, n_side // 2, n_side - 1):
+                assert t.lookup(r, c) == stream_value(state, c) & mask
+        last = stream_value(seed, n_side - 1)
+        assert t.cells[-1].tolist() == [stream_value(last, c) & mask for c in range(n_side)]
 
     def test_color_frequencies_uniform(self):
         # global frequency of each color within 5 sigma of N^2/M
@@ -285,6 +304,24 @@ class TestSerialization:
         assert t.digest() == hashlib.sha256(wide).hexdigest()
         with pytest.raises(InvalidParams, match="n_exp = 256 exceeds"):
             t.to_bytes()
+
+    @pytest.mark.parametrize("params, seed", [
+        (TableParams(4, 3, 2, 1), 3),          # 8-bit cells
+        (TableParams(5, 13, 3, 2), 11),        # 16-bit cells
+        (TableParams(3, 2, 2, 1), 5),
+    ])
+    def test_cached_digest_hashes_file_bytes(self, params, seed):
+        t = random_table(params, seed)
+        first = t.digest()
+        assert first == hashlib.sha256(t.to_bytes()).hexdigest()
+        assert t.digest() == first and t.digest() is first
+
+    def test_cached_wide_digest(self):
+        key = key_from_seed(2)
+        t = keyed_table(TableParams(300, 9, 40, 3), key)
+        wide = b"BTBW" + struct.pack("<HBIIII", 1, BACKEND_KEYED, 300, 9, 40, 3)
+        wide += key.to_bytes(16, "little")
+        assert t.digest() == t.digest() == hashlib.sha256(wide).hexdigest()
 
     def test_file_roundtrip(self, tmp_path):
         t = random_table(TableParams(4, 3, 2, 1), seed=3)
