@@ -48,6 +48,9 @@ def round_half_up(x: Fraction) -> int:
 # Bit strings
 # ---------------------------------------------------------------------------
 
+# maps the ASCII digits "0"/"1" to the byte values 0/1
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @dataclass(frozen=True)
 class BitString:
@@ -74,14 +77,12 @@ class BitString:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        value = 0
-        length = 0
+        digits = bytearray()
         for b in bits:
             if b not in (0, 1):
                 raise InvalidParams(f"bit must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-            length += 1
-        return cls(value, length)
+            digits.append(48 + b)   # ASCII "0" or "1"
+        return cls(int(digits, 2) if digits else 0, len(digits))
 
     @classmethod
     def from01(cls, text: str) -> "BitString":
@@ -134,8 +135,7 @@ class BitString:
         return self.bit(i)
 
     def __iter__(self):
-        for i in range(self.length):
-            yield self.bit(i)
+        return iter(self.to01().encode().translate(_DIGIT_TO_BIT))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,12 @@ def bounded(u: int, n: int) -> int:
     return ((u >> 32) * n) >> 32
 
 
+# Up to this many words, stream_bits shifts each word into the result, which
+# costs less than packing bytes; beyond it the shifts' copying grows
+# quadratically, so the words are packed and converted once.
+_SHIFT_MAX_WORDS = 16
+
+
 def stream_bits(state: int, count: int) -> int:
     """First ``count`` bits of the stream, MSB-first, packed into an int.
 
@@ -60,16 +66,17 @@ def stream_bits(state: int, count: int) -> int:
     """
     if count <= 0:
         return 0
-    value = 0
-    produced = 0
-    k = 0
-    while produced < count:
-        take = min(64, count - produced)
-        word = stream_value(state, k)
-        value = (value << take) | (word >> (64 - take))
-        produced += take
-        k += 1
-    return value
+    if count <= 64:
+        return stream_value(state, 0) >> (64 - count)
+    words = (count + 63) // 64
+    if words <= _SHIFT_MAX_WORDS:
+        value = 0
+        for k in range(words):
+            value = (value << 64) | stream_value(state, k)
+    else:
+        data = b"".join([stream_value(state, k).to_bytes(8, "big") for k in range(words)])
+        value = int.from_bytes(data, "big")
+    return value >> (64 * words - count)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ schedule exactly.
 Computing any output bit reads both input streams from position 0 through
 the end of the containing block and nothing else; the read set depends only
 on the schedule and the position, never on stream contents (the transform
-is a truth-table reduction).
+is a truth-table reduction).  Streams are read in one bulk call,
+``prefix(count)``, which returns bits 0..count-1 and counts as reading each
+of those positions once.
 
 Per-block tables are reproducible: block i's seed is output i of the
 master seed's stream; blocks that fit the explicit cap get explicit random
@@ -27,7 +29,7 @@ from typing import Protocol, runtime_checkable
 
 from .core import BitString, InvalidParams, OutOfRange, SeqSchedule, TooLarge
 from .extract import TablePolicy
-from .mixing import stream_value
+from .mixing import stream_bits, stream_value
 from .tables import BalancedTable, key_from_seed, keyed_table, random_table
 
 logger = logging.getLogger(__name__)
@@ -39,9 +41,18 @@ class BlockTooLarge(TooLarge):
 
 @runtime_checkable
 class BitStream(Protocol):
-    """A repeatable, position-addressable source of bits."""
+    """A repeatable, position-addressable source of bits.
+
+    ``bit(pos)`` reads one position.  ``prefix(count)`` returns bits
+    0..count-1 as one BitString, the bits that ``bit(0)`` .. ``bit(count-1)``
+    return, and raises OutOfRange where one of those calls would or when
+    count is negative.  The transformer reads streams only through
+    ``prefix``, so every stream must implement it, in time linear in count.
+    """
 
     def bit(self, pos: int) -> int: ...
+
+    def prefix(self, count: int) -> BitString: ...
 
 
 class SeededBitStream:
@@ -57,6 +68,11 @@ class SeededBitStream:
         word = stream_value(self.seed, pos // 64)
         return (word >> (63 - pos % 64)) & 1
 
+    def prefix(self, count: int) -> BitString:
+        if count < 0:
+            raise OutOfRange("negative prefix length")
+        return BitString(stream_bits(self.seed, count), count)
+
 
 class BitStringStream:
     """Finite stream over a BitString; reads past the end raise OutOfRange."""
@@ -66,6 +82,9 @@ class BitStringStream:
 
     def bit(self, pos: int) -> int:
         return self.bits.bit(pos)
+
+    def prefix(self, count: int) -> BitString:
+        return self.bits.prefix(count)
 
 
 class CountingBitStream:
@@ -81,9 +100,15 @@ class CountingBitStream:
         self.reads += 1
         return self.inner.bit(pos)
 
+    def prefix(self, count: int) -> BitString:
+        self.positions.update(range(count))
+        self.reads += count
+        return self.inner.prefix(count)
+
 
 def read_prefix(stream: BitStream, count: int) -> BitString:
-    return BitString.from_bits(stream.bit(i) for i in range(count))
+    """Bits 0..count-1 of the stream."""
+    return stream.prefix(count)
 
 
 @dataclass(frozen=True)

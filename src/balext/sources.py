@@ -104,44 +104,6 @@ class ComplexityEstimator(Protocol):
     def estimate(self, s: BitString) -> float: ...
 
 
-class _SuffixAutomaton:
-    """Online suffix automaton over bits; accepts every factor of the text."""
-
-    __slots__ = ("link", "length", "go", "last")
-
-    def __init__(self) -> None:
-        self.link = [-1]
-        self.length = [0]
-        self.go: list[dict[int, int]] = [{}]
-        self.last = 0
-
-    def extend(self, c: int) -> None:
-        link, length, go = self.link, self.length, self.go
-        cur = len(length)
-        length.append(length[self.last] + 1)
-        link.append(0)
-        go.append({})
-        p = self.last
-        while p != -1 and c not in go[p]:
-            go[p][c] = cur
-            p = link[p]
-        if p != -1:
-            q = go[p][c]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
-            else:
-                clone = len(length)
-                length.append(length[p] + 1)
-                link.append(link[q])
-                go.append(dict(go[q]))
-                while p != -1 and go[p].get(c) == q:
-                    go[p][c] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        self.last = cur
-
-
 _MEMO_MAX = 1 << 16   # costs remembered per MatchCompressor
 
 
@@ -192,9 +154,14 @@ class MatchCompressor:
         n = len(s)
         if n == 0:
             return 1
-        bits = [s.bit(i) for i in range(n)]
-        sa = _SuffixAutomaton()
-        go = sa.go
+        bits = bytes(s)   # one byte 0/1 per position
+        # Online suffix automaton of the emitted text over the bits {0, 1}:
+        # go[c][state] is the state reached by bit c (-1: none), plus suffix
+        # links and longest lengths, one entry per state.
+        go0, go1 = [-1], [-1]
+        go = (go0, go1)
+        link, length = [-1], [0]
+        last = 0
         cost = 0
         lit_run = 0
         i = 0
@@ -202,25 +169,48 @@ class MatchCompressor:
             node = 0
             j = i
             while j < n:
-                nxt = go[node].get(bits[j])
-                if nxt is None:
+                node = go[bits[j]][node]
+                if node < 0:
                     break
-                node = nxt
                 j += 1
             match_len = j - i
-            offs = max(1, ceil_log2(i)) if i > 0 else 1
-            if match_len >= 1 and match_len > 1 + _gamma_bits(match_len) + offs:
+            offs = max(1, (i - 1).bit_length())   # max(1, ceil(log2 i)); 1 at i = 0
+            if match_len > 1 + _gamma_bits(match_len) + offs:
                 if lit_run:
                     cost += 1 + _gamma_bits(lit_run) + lit_run
                     lit_run = 0
                 cost += 1 + _gamma_bits(match_len) + offs
-                for k in range(i, j):
-                    sa.extend(bits[k])
-                i = j
             else:
                 lit_run += 1
-                sa.extend(bits[i])
-                i += 1
+                j = i + 1
+            for c in bits[i:j]:
+                go_c = go[c]
+                cur = len(length)
+                length.append(length[last] + 1)
+                link.append(0)
+                go0.append(-1)
+                go1.append(-1)
+                p = last
+                while p != -1 and go_c[p] < 0:
+                    go_c[p] = cur
+                    p = link[p]
+                if p != -1:
+                    q = go_c[p]
+                    if length[p] + 1 == length[q]:
+                        link[cur] = q
+                    else:
+                        clone = len(length)
+                        length.append(length[p] + 1)
+                        link.append(link[q])
+                        go0.append(go0[q])
+                        go1.append(go1[q])
+                        while p != -1 and go_c[p] == q:
+                            go_c[p] = clone
+                            p = link[p]
+                        link[q] = clone
+                        link[cur] = clone
+                last = cur
+            i = j
         if lit_run:
             cost += 1 + _gamma_bits(lit_run) + lit_run
         return cost

@@ -1,5 +1,6 @@
 """Shared test helpers: structured balanced micro tables, the naive
-all-colorset balance oracle and scalar per-rectangle check oracles."""
+all-colorset balance oracle, scalar per-rectangle check oracles and a
+dict-based oracle for the MatchCompressor parse."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from balext.core import TableParams
+from balext.core import BitString, TableParams, ceil_log2
 from balext.mixing import bounded, stream_value
 from balext.tables import BACKEND_RANDOM, BalancedTable
 
@@ -112,6 +113,87 @@ def prefix_check_oracle(hist, m_exp, area):
             ]
             size //= 2
     return worst, bad
+
+
+class _SuffixAutomaton:
+    """Online suffix automaton with one transition dict per state; accepts
+    every factor of the text."""
+
+    def __init__(self) -> None:
+        self.link = [-1]
+        self.length = [0]
+        self.go: list[dict[int, int]] = [{}]
+        self.last = 0
+
+    def extend(self, c: int) -> None:
+        link, length, go = self.link, self.length, self.go
+        cur = len(length)
+        length.append(length[self.last] + 1)
+        link.append(0)
+        go.append({})
+        p = self.last
+        while p != -1 and c not in go[p]:
+            go[p][c] = cur
+            p = link[p]
+        if p != -1:
+            q = go[p][c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                go.append(dict(go[q]))
+                while p != -1 and go[p].get(c) == q:
+                    go[p][c] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        self.last = cur
+
+
+def _gamma_bits(n: int) -> int:
+    return 2 * (n.bit_length() - 1) + 1
+
+
+def match_cost_oracle(s: BitString) -> int:
+    """MatchCompressor's token cost, parsed bit by bit on a dict-based
+    suffix automaton with ``ceil_log2`` offsets."""
+    n = len(s)
+    if n == 0:
+        return 1
+    bits = [s.bit(i) for i in range(n)]
+    sa = _SuffixAutomaton()
+    go = sa.go
+    cost = 0
+    lit_run = 0
+    i = 0
+    while i < n:
+        node = 0
+        j = i
+        while j < n:
+            nxt = go[node].get(bits[j])
+            if nxt is None:
+                break
+            node = nxt
+            j += 1
+        match_len = j - i
+        offs = max(1, ceil_log2(i)) if i > 0 else 1
+        if match_len >= 1 and match_len > 1 + _gamma_bits(match_len) + offs:
+            if lit_run:
+                cost += 1 + _gamma_bits(lit_run) + lit_run
+                lit_run = 0
+            cost += 1 + _gamma_bits(match_len) + offs
+            for k in range(i, j):
+                sa.extend(bits[k])
+            i = j
+        else:
+            lit_run += 1
+            sa.extend(bits[i])
+            i += 1
+    if lit_run:
+        cost += 1 + _gamma_bits(lit_run) + lit_run
+    return cost
 
 
 @pytest.fixture

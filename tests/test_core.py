@@ -37,6 +37,19 @@ class TestBitString:
         assert list(s) == bits
         assert len(s) == len(bits)
 
+    @given(st.integers(0, 5000).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda v: BitString(v, n))))
+    def test_long_roundtrips(self, s):
+        assert BitString.from_bits(list(s)) == s
+        assert BitString.from01(s.to01()) == s
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_from_bits_refuses_non_bits(self, bad):
+        with pytest.raises(InvalidParams):
+            BitString.from_bits([0, 1, bad, 1])
+        with pytest.raises(InvalidParams):
+            BitString.from_bits([bad])
+
     @given(st.binary(max_size=64))
     def test_bytes_roundtrip(self, data):
         s = BitString.from_bytes(data)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -58,6 +59,16 @@ def test_stream_bits_msb_first():
     # 64-bit boundary: bits 64.. come from the next output
     got = stream_bits(42, 65)
     assert got == (word << 1) | (stream_value(42, 1) >> 63)
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 1000, 1024, 1025, 4097])
+def test_stream_bits_per_word_rule(count):
+    state = 0x0123_4567_89AB_CDEF
+    got = stream_bits(state, count)
+    assert 0 <= got < (1 << count)
+    for j in range(count):
+        want = (stream_value(state, j // 64) >> (63 - j % 64)) & 1
+        assert (got >> (count - 1 - j)) & 1 == want
 
 
 def test_substream_decorrelates():

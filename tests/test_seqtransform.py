@@ -17,9 +17,17 @@ from balext.seqtransform import (
     read_prefix,
     transform_prefix,
 )
-from balext.mixing import stream_value
+from balext.mixing import stream_bits, stream_value
 
 GOLDEN_TRANSFORM_11 = "00101101000"  # tau=1/2 delta=1/2 B=2, x=seed101, y=seed202, tables seed 3
+
+
+# the three in-tree streams, each built fresh per read
+STREAMS = {
+    "seeded": lambda: SeededBitStream(42),
+    "bitstring": lambda: BitStringStream(BitString(stream_bits(7, 5000), 5000)),
+    "counting": lambda: CountingBitStream(SeededBitStream(42)),
+}
 
 
 def b2_schedule(max_block=4):
@@ -47,6 +55,39 @@ class TestStreams:
         p = read_prefix(s, 70)
         assert len(p) == 70
         assert list(p) == [s.bit(i) for i in range(70)]
+
+    @pytest.mark.parametrize("kind", sorted(STREAMS))
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097])
+    def test_read_prefix_equals_bit_reads(self, kind, count):
+        bulk = read_prefix(STREAMS[kind](), count)
+        per_bit = STREAMS[kind]()
+        assert len(bulk) == count
+        assert list(bulk) == [per_bit.bit(i) for i in range(count)]
+
+    def test_prefix_past_the_end(self):
+        bits = BitString(stream_bits(9, 100), 100)
+        assert BitStringStream(bits).prefix(100) == bits
+        with pytest.raises(OutOfRange):
+            BitStringStream(bits).prefix(101)
+        with pytest.raises(OutOfRange):
+            SeededBitStream(9).prefix(-1)
+
+    def test_output_bit_on_short_stream(self):
+        short = BitStringStream(read_prefix(SeededBitStream(101), 20))
+        tr = SequenceTransformer(short, short, b2_schedule(), TablePolicy(seed=3))
+        assert tr.output_bit(1) in (0, 1)   # block 3 ends at input bit 14
+        with pytest.raises(OutOfRange):
+            tr.output_bit(5)                # block 4 ends at input bit 30
+
+    @pytest.mark.parametrize("count", [0, 1, 65, 4097])
+    def test_counting_prefix_counts_like_bit_reads(self, count):
+        bulk = CountingBitStream(BitStringStream(read_prefix(SeededBitStream(3), 5000)))
+        bulk.prefix(count)
+        per_bit = CountingBitStream(SeededBitStream(3))
+        for i in range(count):
+            per_bit.bit(i)
+        assert bulk.reads == per_bit.reads == count
+        assert bulk.positions == per_bit.positions == set(range(count))
 
 
 class TestLayout:

@@ -25,10 +25,24 @@ from balext.sources import (
     min_entropy_empirical,
     run_extraction_experiment,
 )
+from conftest import match_cost_oracle
 
 
 def random_bitstring(seed: int, n: int, tag: int = 1) -> BitString:
     return BitString(stream_bits(substream(seed, tag), n), n)
+
+
+def _bitstrings(max_len: int):
+    return st.integers(0, max_len).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda v: BitString(v, n)))
+
+
+# inputs whose parse takes long matches and clones automaton states
+_DOUBLED = _bitstrings(350).map(lambda x: x.concat(x))
+_RUNS = st.lists(st.tuples(st.sampled_from("01"), st.integers(1, 58)), max_size=12).map(
+    lambda runs: BitString.from01("".join(b * k for b, k in runs)))
+_PERIODIC = st.tuples(_bitstrings(16).filter(len), st.integers(0, 700)).map(
+    lambda pn: BitString.from01((pn[0].to01() * (700 // len(pn[0]) + 1))[:pn[1]]))
 
 
 class TestPlantedPairs:
@@ -80,6 +94,16 @@ class TestMatchCompressor:
         est = MatchCompressor()
         s = random_bitstring(1, 1024)
         assert 0.9 * 1024 <= est.estimate(s) <= 1.15 * 1024
+
+    @settings(max_examples=200)
+    @given(st.one_of(_bitstrings(700), _DOUBLED, _RUNS, _PERIODIC))
+    def test_cost_matches_dict_automaton_oracle(self, s):
+        assert MatchCompressor().cost_bits(s) == match_cost_oracle(s)
+
+    def test_long_costs_match_oracle(self):
+        x = random_bitstring(5, 2048)
+        for s in (random_bitstring(6, 4096), x.concat(x)):
+            assert MatchCompressor().cost_bits(s) == match_cost_oracle(s)
 
     def test_redundancy_detected(self):
         est = MatchCompressor()
