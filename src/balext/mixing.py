@@ -52,12 +52,6 @@ def bounded(u: int, n: int) -> int:
     return ((u >> 32) * n) >> 32
 
 
-# Up to this many words, stream_bits shifts each word into the result, which
-# costs less than packing bytes; beyond it the shifts' copying grows
-# quadratically, so the words are packed and converted once.
-_SHIFT_MAX_WORDS = 16
-
-
 def stream_bits(state: int, count: int) -> int:
     """First ``count`` bits of the stream, MSB-first, packed into an int.
 
@@ -69,14 +63,8 @@ def stream_bits(state: int, count: int) -> int:
     if count <= 64:
         return stream_value(state, 0) >> (64 - count)
     words = (count + 63) // 64
-    if words <= _SHIFT_MAX_WORDS:
-        value = 0
-        for k in range(words):
-            value = (value << 64) | stream_value(state, k)
-    else:
-        data = b"".join([stream_value(state, k).to_bytes(8, "big") for k in range(words)])
-        value = int.from_bytes(data, "big")
-    return value >> (64 * words - count)
+    data = b"".join([stream_value(state, k).to_bytes(8, "big") for k in range(words)])
+    return int.from_bytes(data, "big") >> (64 * words - count)
 
 
 # ---------------------------------------------------------------------------

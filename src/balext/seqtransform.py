@@ -101,9 +101,10 @@ class CountingBitStream:
         return self.inner.bit(pos)
 
     def prefix(self, count: int) -> BitString:
+        bits = self.inner.prefix(count)
         self.positions.update(range(count))
         self.reads += count
-        return self.inner.prefix(count)
+        return bits
 
 
 def read_prefix(stream: BitStream, count: int) -> BitString:

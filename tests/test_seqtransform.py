@@ -89,6 +89,17 @@ class TestStreams:
         assert bulk.reads == per_bit.reads == count
         assert bulk.positions == per_bit.positions == set(range(count))
 
+    def test_counting_prefix_records_nothing_on_error(self):
+        neg = CountingBitStream(SeededBitStream(1))
+        with pytest.raises(OutOfRange):
+            neg.prefix(-1)
+        past = CountingBitStream(BitStringStream(read_prefix(SeededBitStream(1), 10)))
+        with pytest.raises(OutOfRange):
+            past.prefix(11)
+        for s in (neg, past):
+            assert s.reads == 0
+            assert s.positions == set()
+
 
 class TestLayout:
     def test_b2_example(self):
