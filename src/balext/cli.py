@@ -12,7 +12,7 @@ failure, 3 I/O errors.  Errors print one machine-parsable line to stderr:
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
 from .core import (
@@ -26,7 +26,7 @@ from .core import (
     parse_fraction,
 )
 from .extract import TablePolicy, extract_conditional, extract_string
-from .seqtransform import BitStringStream, SequenceTransformer
+from .seqtransform import BitStringStream, BlockLayout, SequenceTransformer
 from .sources import PlantedPairSpec, run_extraction_experiment
 from .tables import (
     BalancedTable,
@@ -41,6 +41,8 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_IO = 3
+
+_MAX_BLOCKS = 64             # longest transform schedule
 
 
 class _CliError(Exception):
@@ -149,35 +151,32 @@ def _cmd_extract_cond(args) -> int:
 def _cmd_transform(args) -> int:
     x = _read_bits(args.x, None)
     y = _read_bits(args.y, None)
-    # grow the schedule until it covers the requested output length
-    max_block = 1
-    while True:
-        schedule = derive_seq_schedule(
-            parse_fraction(args.tau), parse_fraction(args.delta), args.block_base,
-            max_block,
+    # derive the longest schedule once, then keep the blocks through the one
+    # that holds the last requested output bit
+    schedule = derive_seq_schedule(
+        parse_fraction(args.tau), parse_fraction(args.delta), args.block_base,
+        _MAX_BLOCKS,
+    )
+    layout = BlockLayout.from_schedule(schedule)
+    if layout.total_output_bits < args.out_bits:
+        raise _CliError(
+            EXIT_INVALID, "invalid-params",
+            "schedule cannot cover the requested output length",
         )
-        tr = SequenceTransformer(
-            BitStringStream(x), BitStringStream(y), schedule, _policy(args.seed)
-        )
-        if tr.layout.total_output_bits >= args.out_bits:
-            break
-        if max_block >= 64:
-            raise _CliError(
-                EXIT_INVALID, "invalid-params",
-                "schedule cannot cover the requested output length",
-            )
-        max_block += 1
-    needed = tr.layout.input_ends[
-        tr.layout.block_of_output(args.out_bits - 1) - 1
-    ] if args.out_bits > 0 else 0
+    used = layout.block_of_output(args.out_bits - 1) if args.out_bits > 0 else 0
+    schedule = dataclasses.replace(schedule, blocks=schedule.blocks[:max(used, 1)])
+    needed = layout.input_ends[used - 1] if used else 0
     if needed > len(x) or needed > len(y):
         raise _CliError(
             EXIT_IO, "io",
             f"input too short: need {needed} bits, have {len(x)} (x) / {len(y)} (y)",
         )
+    tr = SequenceTransformer(
+        BitStringStream(x), BitStringStream(y), schedule, _policy(args.seed)
+    )
     z = tr.transform_prefix(args.out_bits)
     _write_bytes(args.out, z.to_bytes())
-    print(f"bits={len(z)} blocks_used={tr.layout.block_of_output(args.out_bits - 1) if args.out_bits else 0} out={args.out}")
+    print(f"bits={len(z)} blocks_used={used} out={args.out}")
     return EXIT_OK
 
 

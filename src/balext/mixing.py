@@ -14,13 +14,19 @@ Stream splitting: the k-th output of a stream (``stream_value``) may itself
 be used as the state of a child stream (``substream``).  Consumers document
 which tags they reserve, so no two consumers ever draw from the same stream.
 
-Bounded draws use 32-bit fixed-point scaling ``((u >> 32) * n) >> 32``,
-exact enough for every n used here (n <= 2**20, bias < 2**-12 relative).
+Bounded draws are a multiply-high, as in Lemire, *Fast random integer
+generation in an interval* (arXiv:1805.10941): ``bounded(u, n)`` is
+``(u * n) >> 64`` for 2**32 <= n <= 2**64, and ``((u >> 32) * n) >> 32`` (the
+same with the low 32 bits of u cleared) for n < 2**32, where it keeps the
+32-bit fixed-point draws of earlier versions.  In numpy the 128-bit product
+is formed from 32-bit halves of u and n, each partial product within 64 bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .core import InvalidParams, TooLarge
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -48,8 +54,10 @@ def substream(state: int, tag: int) -> int:
 
 
 def bounded(u: int, n: int) -> int:
-    """Map a 64-bit value to [0, n) by fixed-point scaling (n < 2**32)."""
-    return ((u >> 32) * n) >> 32
+    """Map a 64-bit value to [0, n), 1 <= n <= 2**64, by multiply-high."""
+    if n < 1 << 32:
+        return ((u >> 32) * n) >> 32
+    return (u * n) >> 64
 
 
 def stream_bits(state: int, count: int) -> int:
@@ -74,6 +82,8 @@ def stream_bits(state: int, count: int) -> int:
 _NP_GAMMA = np.uint64(GAMMA)
 _NP_MUL1 = np.uint64(_MUL1)
 _NP_MUL2 = np.uint64(_MUL2)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
 
 
 def scramble_np(z: np.ndarray) -> np.ndarray:
@@ -82,39 +92,79 @@ def scramble_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def scramble_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """:func:`scramble_np` of uint64 ``z``, written into ``z``; ``tmp``, of
+    the same shape, is overwritten as scratch."""
+    for shift, mul in ((30, _NP_MUL1), (27, _NP_MUL2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        if mul is not None:
+            z *= mul
+    return z
+
+
 def stream_block_np(state: int, start: int, count: int) -> np.ndarray:
     """Outputs ``start .. start+count-1`` of a stream as a uint64 array."""
     ks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     return scramble_np(np.uint64(state & MASK64) + ks * _NP_GAMMA)
 
 
+def _positions(u: np.ndarray, n: int) -> np.ndarray:
+    """k + bounded(u[:, k], n - k) for each column k of uint64 ``u``."""
+    ks = np.arange(u.shape[1], dtype=np.int64)
+    low = (n & 0xFFFFFFFF) - ks                      # 32-bit halves of n - k
+    borrow = low < 0
+    n_hi = np.uint64(n >> 32) - borrow.astype(np.uint64)
+    n_lo = (low + (borrow.astype(np.int64) << 32)).astype(np.uint64)
+    u_hi = u >> _32
+    u_lo = np.where(n_hi > 0, u & _LOW32, np.uint64(0))   # n - k < 2**32: top half only
+    hl = u_hi * n_lo
+    lh = u_lo * n_hi
+    carry = ((u_lo * n_lo) >> _32) + (hl & _LOW32) + (lh & _LOW32)
+    high = u_hi * n_hi + (hl >> _32) + (lh >> _32) + (carry >> _32)
+    return high + ks.astype(np.uint64)
+
+
 def partial_shuffle_batch(states: np.ndarray, n: int, take: int) -> np.ndarray:
-    """Seeded partial Fisher-Yates over [0, n), batched.
+    """Seeded partial Fisher-Yates over [0, n), batched, for n <= 2**64.
 
     ``states[b]`` seeds an independent stream whose outputs drive the swaps
     for batch element b; row b of the result is the first ``take`` entries
-    of the shuffled range, i.e. a uniform ``take``-subset in draw order.
+    of the shuffled range, i.e. a uniform ``take``-subset in draw order, as
+    uint64.  Swap k exchanges positions k and j_k = k + bounded(output k,
+    n - k).
+
+    The swaps reach only positions below ``take`` and the drawn j_k, so each
+    stream keeps 2 * take slots: slot p < take holds position p, and the
+    stream's distinct j_k >= take hold the slots from ``take`` up, in
+    ascending order.  Memory is O(b * take), whatever n.
     """
+    if not 0 <= take <= n:
+        raise InvalidParams(f"need 0 <= take <= n, got take={take}, n={n}")
+    if n > 1 << 64:
+        raise TooLarge(f"shuffle draws need n <= 2**64, got a {n.bit_length()}-bit n")
     b = states.shape[0]
-    arr = np.broadcast_to(np.arange(n, dtype=np.int64), (b, n)).copy()
-    rows = np.arange(b)
-    st = states.astype(np.uint64)
-    for k in range(take):
-        u = scramble_np(st + np.uint64(((k + 1) * GAMMA) & MASK64))
-        j = k + (((u >> np.uint64(32)) * np.uint64(n - k)) >> np.uint64(32)).astype(
-            np.int64
-        )
-        ak = arr[rows, k].copy()
-        arr[rows, k] = arr[rows, j]
-        arr[rows, j] = ak
-    return arr[:, :take]
-
-
-def partial_shuffle(state: int, n: int, take: int) -> list[int]:
-    """Scalar counterpart of :func:`partial_shuffle_batch` (same outputs)."""
-    arr = list(range(n))
-    for k in range(take):
-        u = stream_value(state, k)
-        j = k + bounded(u, n - k)
-        arr[k], arr[j] = arr[j], arr[k]
-    return arr[:take]
+    ks = np.arange(take, dtype=np.uint64)
+    drawn = (ks + np.uint64(1)) * _NP_GAMMA + states.astype(np.uint64)[:, None]
+    scramble_inplace(drawn, np.empty_like(drawn))
+    drawn = _positions(drawn, n)                        # (b, take), j_k in [k, n)
+    # slot of each j_k: its rank among the stream's distinct draws, past take
+    rows = np.arange(b)[:, None]
+    order = np.argsort(drawn, axis=1)
+    ranked = drawn[rows, order]
+    fresh = np.ones(ranked.shape, dtype=np.intp)
+    fresh[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    slots = np.empty_like(order)
+    slots[rows, order] = take - 1 + np.cumsum(fresh, axis=1)
+    np.copyto(slots, drawn, casting="unsafe", where=drawn < np.uint64(take))
+    # slot-major layout: slot s of stream r sits at s * b + r
+    there = (slots * b + rows).T.copy()                 # (take, b): swap k's far slots
+    vals = np.empty((2 * take, b), dtype=np.uint64)
+    flat = vals.ravel()
+    flat[there] = drawn.T
+    vals[:take] = ks[:, None]
+    for k, far in enumerate(there):
+        kept = vals[k].copy()
+        vals[k] = flat[far]
+        flat[far] = kept
+    return np.ascontiguousarray(vals[:take].T)

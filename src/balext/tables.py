@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import InvalidParams, NotFound, OutOfRange, TableParams, TooLarge
-from .mixing import GAMMA, MASK64, scramble, scramble_np, stream_value
+from .mixing import GAMMA, MASK64, scramble, scramble_inplace, scramble_np, stream_value
 
 MAGIC = b"BTAB"
 WIDE_MAGIC = b"BTBW"         # digest-only header for exponents beyond 255
@@ -187,9 +187,11 @@ def _keyed_state_through_key(key: int, n_exp: int, m_exp: int) -> int:
 def keyed_colors_grid(
     key: int, n_exp: int, m_exp: int, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :func:`keyed_color` over a rows x cols grid.
+    """Vectorized :func:`keyed_color` over a rows x cols grid, as uint64.
 
     Only for n_exp <= 64 and m_exp <= 64 (single-word absorb and output).
+    The grid's two scrambles run in place in the result, with one
+    temporary of its size.
     """
     if n_exp > 64 or m_exp > 64:
         raise TooLarge("vectorized keyed lookup needs n_exp, m_exp <= 64")
@@ -197,11 +199,14 @@ def keyed_colors_grid(
     h0 = np.uint64(_keyed_state_through_key(key, n_exp, m_exp))
     hr = scramble_np((h0 ^ rows.astype(np.uint64)) + g)
     hr = scramble_np((hr ^ np.uint64(key >> 64)) + g)
-    grid = scramble_np((hr[:, None] ^ cols.astype(np.uint64)[None, :]) + g)
-    out = scramble_np(grid + g)  # stream_value(h, 0)
-    if m_exp == 64:
-        return out
-    return out & np.uint64((1 << m_exp) - 1)
+    grid = np.bitwise_xor(hr[:, None], cols.astype(np.uint64))
+    tmp = np.empty_like(grid)
+    for _ in range(2):         # absorb the column, then stream_value(h, 0)
+        grid += g
+        scramble_inplace(grid, tmp)
+    if m_exp < 64:
+        grid &= np.uint64((1 << m_exp) - 1)
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,14 @@ columns in lexicographic order: each chunk of rectangles gathers its cells
 from the cached subset index arrays with two ``take`` calls and counts
 them with one ``bincount``, one row per rectangle, so memory is bounded
 per chunk, not with N * N * M.  Sampled mode draws seeded random
-rectangles (rows and columns by partial Fisher-Yates, sample j from
-streams 2j and 2j+1 of the verification seed), gathers each one's cells
-and writes its histogram as one row; when M > 2^20 or colors are Python
-ints (keyed n_exp or m_exp above 64) it ranks the colors present with
-``np.unique`` instead.  Sampled mode is a Monte-Carlo relaxation with no
-certificate.
+rectangles chunk by chunk (rows and columns by a sparse partial
+Fisher-Yates, sample j from streams 2j and 2j+1 of the verification seed),
+gathers each one's cells with two ``take`` calls, or computes them for a
+keyed table, and writes its histogram as one row; when M > 2^20 it ranks
+the colors present with ``np.unique`` instead.  A chunk of samples holds
+its O(chunk x S) draws, its count matrix and its rectangles' cells, so
+memory grows with neither the sample count nor N.  Sampled mode is a
+Monte-Carlo relaxation with no certificate.
 
 Reports are reproducible: the witness is the first violating rectangle in
 enumeration/sample order and the worst ratio is a max over checked
@@ -45,11 +47,13 @@ import numpy as np
 
 from .core import InvalidParams, TableParams, TooLarge
 from .mixing import GAMMA, MASK64, partial_shuffle_batch, scramble_np
-from .tables import BalancedTable, keyed_colors_grid
+from .tables import EXPLICIT_N_EXP_CAP, BalancedTable, keyed_colors_grid
 
 DEFAULT_ENUM_CAP = 10**8
-_CHUNK = 1 << 14             # entries of one chunk's gathered cells or count matrix
+_CHUNK = 1 << 14             # entries of a chunk's gathered cells, count matrix or draws
 _DENSE_COLORS = 1 << 20      # above this many colors, sampled mode ranks colors
+# a sampled rectangle holds at most as many cells as the largest explicit table
+_MAX_AREA = 1 << 2 * EXPLICIT_N_EXP_CAP
 
 
 @dataclass(frozen=True)
@@ -377,11 +381,14 @@ def _sample_rect_indices(seed: int, start: int, count: int, n_side: int, s_side:
 
 
 def _rect_colors(table: BalancedTable, rows: np.ndarray, cols: np.ndarray):
+    """The rectangle's cells: explicit ones gathered by two ``take`` calls,
+    keyed ones below 2^63 as an intp view that ``bincount`` counts as is."""
     if table.cells is not None:
-        return table.cells[np.ix_(rows, cols)]
+        return table.cells.take(rows, axis=0).take(cols, axis=1)
     p = table.params
-    if p.n_exp <= 64 and p.m_exp <= 64:
-        return keyed_colors_grid(table.seed_or_key, p.n_exp, p.m_exp, rows, cols)
+    if p.m_exp <= 64:
+        grid = keyed_colors_grid(table.seed_or_key, p.n_exp, p.m_exp, rows, cols)
+        return grid if p.m_exp == 64 else grid.view(np.intp)
     return np.array(
         [[table.lookup(int(r), int(c)) for c in cols] for r in rows], dtype=object
     )
@@ -390,17 +397,25 @@ def _rect_colors(table: BalancedTable, rows: np.ndarray, cols: np.ndarray):
 def _sampled(table: BalancedTable, rule: _Rule, seed: int, start: int, count: int,
              ranked: bool):
     """Yield (rectangle of row, count matrix, labels) chunks for samples
-    start..start+count-1.  Draws are made once; chunks are sized by their
-    count matrix."""
+    start..start+count-1.  Samples are drawn in batches whose row and
+    column draws hold at most _CHUNK entries each, and counted in chunks
+    sized by their count matrix."""
     p = table.params
-    rows_all, cols_all = _sample_rect_indices(seed, start, count, p.n_side, rule.rows)
     if ranked:    # k rectangles hold at most k * area distinct colors
         step = max(1, math.isqrt(_CHUNK // rule.area))
     else:
         step = max(1, _CHUNK // p.m_colors)
         labels = np.arange(p.m_colors)
-    for b0 in range(0, count, step):
-        rects = list(zip(rows_all[b0:b0 + step], cols_all[b0:b0 + step]))
+    draw = max(1, _CHUNK // rule.rows)
+
+    def chunks():
+        for d0 in range(0, count, draw):
+            batch = list(zip(*_sample_rect_indices(
+                seed, start + d0, min(draw, count - d0), p.n_side, rule.rows)))
+            for b0 in range(0, len(batch), step):
+                yield batch[b0:b0 + step]
+
+    for rects in chunks():
         if ranked:
             grids = [_rect_colors(table, r, c).ravel() for r, c in rects]
             labels, inverse = np.unique(np.concatenate(grids), return_inverse=True)
@@ -410,8 +425,8 @@ def _sampled(table: BalancedTable, rule: _Rule, seed: int, start: int, count: in
         else:
             counts = np.empty((len(rects), p.m_colors), dtype=np.int64)
             for k, (r, c) in enumerate(rects):
-                grid = _rect_colors(table, r, c).ravel().astype(np.int64)
-                counts[k] = np.bincount(grid, minlength=p.m_colors)
+                counts[k] = np.bincount(_rect_colors(table, r, c).ravel(),
+                                        minlength=p.m_colors)
 
         def rect(k, rects=rects):
             rows, cols = rects[k]
@@ -429,11 +444,13 @@ def _run_sampled(table: BalancedTable, rule: _Rule, samples: int, seed: int,
         raise InvalidParams("need samples >= 1")
     if threads < 1:
         raise InvalidParams("need threads >= 1")
+    if rule.area > _MAX_AREA:
+        raise TooLarge(f"a sampled rectangle of {rule.area} cells exceeds {_MAX_AREA}")
     per = (samples + threads - 1) // threads
     starts = range(0, samples, per)
     # rank the colors present instead of indexing all M of them when there
-    # are too many colors or they are Python ints
-    ranked = table.params.m_colors > _DENSE_COLORS or table.params.n_exp > 64
+    # are too many colors
+    ranked = table.params.m_colors > _DENSE_COLORS
 
     def run(s0):
         chunks = _sampled(table, rule, seed, s0, min(per, samples - s0), ranked)

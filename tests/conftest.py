@@ -1,6 +1,7 @@
 """Shared test helpers: structured balanced micro tables, the naive
-all-colorset balance oracle, scalar per-rectangle check oracles and a
-dict-based oracle for the MatchCompressor parse."""
+all-colorset balance oracle, scalar per-rectangle check oracles, a scalar
+partial Fisher-Yates and a dict-based oracle for the MatchCompressor
+parse."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -48,6 +49,19 @@ def constant_table(n_exp: int = 3, m_exp: int = 2, color: int = 0) -> BalancedTa
     cells.setflags(write=False)
     params = TableParams(n_exp, m_exp, n_exp - 1, m_exp)
     return BalancedTable(params, BACKEND_RANDOM, 0, cells)
+
+
+def partial_shuffle_oracle(state: int, n: int, take: int) -> list[int]:
+    """The first ``take`` entries of a seeded partial Fisher-Yates over
+    [0, n): swap k exchanges positions k and k + bounded(output k, n - k).
+    Only moved positions are stored, so any n <= 2**64 works."""
+    moved: dict[int, int] = {}
+    out = []
+    for k in range(take):
+        j = k + bounded(stream_value(state, k), n - k)
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(k, k)
+    return out
 
 
 def naive_balance_oracle(table: BalancedTable, s_exp: int, d_exp: int) -> bool:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -89,6 +90,40 @@ class TestGenVerify:
             assert code == 0
             reports.append(stdout)
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("n_exp", ["40", "64"])
+    def test_sampled_keyed_wide_sides(self, tmp_path, capsys, n_exp):
+        out = tmp_path / "k.btab"
+        run(
+            capsys, "gen-table", "--n-exp", n_exp, "--m-exp", "8", "--s-exp", "4",
+            "--d-exp", "3", "--backend", "keyed", "--seed", "5", "--out", str(out),
+        )
+        code, stdout, err = run(
+            capsys, "verify-table", "--table", str(out), "--mode", "sampled",
+            "--samples", "20", "--seed", "3",
+        )
+        assert code in (0, 2)
+        doc = json.loads(stdout)
+        assert doc["samples"] == 20
+        rows = doc["witness"]["rows"] if doc["witness"] else []
+        assert all(0 <= r < 1 << int(n_exp) for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["--n-exp", "65", "--s-exp", "4"],      # draws beyond 64 bits
+        ["--n-exp", "40", "--s-exp", "30"],     # a rectangle of 2^60 cells
+    ])
+    def test_sampled_keyed_too_large_is_one_line_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "k.btab"
+        run(
+            capsys, "gen-table", *argv, "--m-exp", "8", "--d-exp", "3",
+            "--backend", "keyed", "--seed", "5", "--out", str(out),
+        )
+        code, stdout, err = run(
+            capsys, "verify-table", "--table", str(out), "--mode", "sampled",
+            "--samples", "2",
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: too-large:") and err.count("\n") == 1
 
     def test_prefix_balance_flag(self, tmp_path, capsys):
         out = tmp_path / "t.btab"
@@ -247,6 +282,47 @@ class TestTransformCommand:
         )
         assert code == 3
         assert err.startswith("error: io:")
+
+
+    @pytest.mark.parametrize("out_bits", [0, 1, 11, 400])
+    def test_transform_matches_the_longest_schedule(self, tmp_path, capsys, out_bits):
+        # the command keeps only the blocks it needs; the bits are those of
+        # the longest schedule
+        from balext.core import BitString, derive_seq_schedule
+        from balext.extract import TablePolicy
+        from balext.seqtransform import BitStringStream, SequenceTransformer
+
+        data = bytes(range(7, 7 + 200))
+        x, y = tmp_path / "x.bin", tmp_path / "y.bin"
+        x.write_bytes(data)
+        y.write_bytes(data[::-1])
+        out = tmp_path / "z.bin"
+        code, stdout, _ = run(
+            capsys, "transform", "--x", str(x), "--y", str(y), "--tau", "1/2",
+            "--delta", "1/2", "--B", "2", "--out-bits", str(out_bits), "--seed", "3",
+            "--out", str(out),
+        )
+        assert code == 0
+        tr = SequenceTransformer(
+            BitStringStream(BitString.from_bytes(data)),
+            BitStringStream(BitString.from_bytes(data[::-1])),
+            derive_seq_schedule(Fraction(1, 2), Fraction(1, 2), 2, 64),
+            TablePolicy(kind="auto", seed=3),
+        )
+        assert out.read_bytes() == tr.transform_prefix(out_bits).to_bytes()
+        used = tr.layout.block_of_output(out_bits - 1) if out_bits else 0
+        assert stdout == f"bits={out_bits} blocks_used={used} out={out}\n"
+
+    def test_transform_schedule_that_cannot_cover(self, tmp_path, capsys):
+        x = tmp_path / "x.bin"
+        x.write_bytes(bytes(8))
+        code, _, err = run(
+            capsys, "transform", "--x", str(x), "--y", str(x), "--tau", "1/" + "1" + "0" * 30,
+            "--delta", "1/2", "--B", "2", "--out-bits", "1", "--out", str(tmp_path / "z"),
+        )
+        assert code == 1
+        assert err == ("error: invalid-params: schedule cannot cover the requested "
+                       "output length\n")
 
 
 class TestExperimentCommand:

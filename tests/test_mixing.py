@@ -3,18 +3,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balext.core import TooLarge
 from balext.mixing import (
     GAMMA,
     MASK64,
     bounded,
-    partial_shuffle,
     partial_shuffle_batch,
     scramble,
+    scramble_inplace,
     scramble_np,
     stream_bits,
     stream_value,
     substream,
 )
+
+from conftest import partial_shuffle_oracle
 
 # First outputs of SplitMix64 seeded with 0 (widely published sequence);
 # pins the generator across platforms and versions.
@@ -47,9 +50,27 @@ def test_vectorized_matches_scalar():
     assert [int(x) for x in vec] == [stream_value(state, k) for k in range(64)]
 
 
-@given(st.integers(min_value=0, max_value=MASK64), st.integers(min_value=1, max_value=1 << 20))
+def test_scramble_inplace_matches():
+    z = np.arange(1, 1001, dtype=np.uint64) * np.uint64(GAMMA)
+    want = scramble_np(z)
+    assert np.array_equal(scramble_inplace(z, np.empty_like(z)), want)
+    assert np.array_equal(z, want)
+
+
+@given(st.integers(min_value=0, max_value=MASK64), st.integers(min_value=1, max_value=1 << 64))
 def test_bounded_in_range(u, n):
     assert 0 <= bounded(u, n) < n
+
+
+@given(st.integers(min_value=0, max_value=MASK64))
+def test_bounded_is_multiply_high(u):
+    # below 2**32 the draw keeps its 32-bit fixed-point form; from 2**32 on it
+    # uses all 64 bits of u, so every value in [0, n) can be drawn
+    for n in (1, 7, (1 << 32) - 1):
+        assert bounded(u, n) == ((u >> 32) * n) >> 32
+    for n in (1 << 32, (1 << 40) + 3, 1 << 64):
+        assert bounded(u, n) == (u * n) >> 64
+    assert bounded(MASK64, 1 << 64) == MASK64
 
 
 def test_stream_bits_msb_first():
@@ -81,14 +102,47 @@ def test_substream_decorrelates():
        st.integers(min_value=1, max_value=40))
 def test_partial_shuffle_is_subset_without_replacement(state, take):
     n = 40
-    out = partial_shuffle(state, n, take)
+    out = partial_shuffle_batch(np.array([state], dtype=np.uint64), n, take)[0]
     assert len(out) == take
-    assert len(set(out)) == take
-    assert all(0 <= v < n for v in out)
+    assert len(set(out.tolist())) == take
+    assert all(0 <= v < n for v in out.tolist())
 
 
 def test_partial_shuffle_batch_matches_scalar():
     states = np.array([0, 1, 0xFFFF_FFFF_FFFF_FFFF], dtype=np.uint64)
     batch = partial_shuffle_batch(states, 17, 9)
+    assert batch.dtype == np.uint64
     for i, s in enumerate([0, 1, MASK64]):
-        assert batch[i].tolist() == partial_shuffle(s, 17, 9)
+        assert batch[i].tolist() == partial_shuffle_oracle(s, 17, 9)
+
+
+SHUFFLE_TAKE = 24
+
+
+@given(st.sampled_from([SHUFFLE_TAKE, (1 << 32) - 1, 1 << 32, (1 << 32) + 5, 1 << 40,
+                        1 << 64]),
+       st.lists(st.integers(min_value=0, max_value=MASK64), min_size=1, max_size=64),
+       st.integers(min_value=0, max_value=SHUFFLE_TAKE))
+def test_partial_shuffle_batch_matches_oracle(n, states, take):
+    batch = partial_shuffle_batch(np.array(states, dtype=np.uint64), n, take)
+    assert batch.shape == (len(states), take)
+    for row, s in zip(batch, states):
+        assert row.tolist() == partial_shuffle_oracle(s, n, take)
+
+
+@pytest.mark.parametrize("n", [5, 64])
+def test_partial_shuffle_batch_full_permutation(n):
+    # take = n shuffles the whole range, with repeated draws of a position
+    states = np.arange(32, dtype=np.uint64)
+    batch = partial_shuffle_batch(states, n, n)
+    for row, s in zip(batch, states.tolist()):
+        assert sorted(row.tolist()) == list(range(n))
+        assert row.tolist() == partial_shuffle_oracle(s, n, n)
+
+
+def test_partial_shuffle_batch_refuses():
+    states = np.zeros(2, dtype=np.uint64)
+    with pytest.raises(TooLarge):
+        partial_shuffle_batch(states, (1 << 64) + 1, 1)
+    with pytest.raises(ValueError):
+        partial_shuffle_batch(states, 3, 4)

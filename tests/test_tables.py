@@ -179,6 +179,23 @@ class TestKeyedTable:
             for j, c in enumerate([3, 4]):
                 assert int(grid[i, j]) == keyed_color(key, 16, 7, r, c)
 
+    @pytest.mark.parametrize("n_exp", [16, 64])
+    @pytest.mark.parametrize("m_exp", [1, 7, 63, 64])
+    def test_grid_matches_scalar_at_every_width(self, n_exp, m_exp):
+        from balext.tables import keyed_colors_grid
+
+        key = key_from_seed(m_exp)
+        top = (1 << n_exp) - 1
+        rows = np.array([0, 1, top, 12345], dtype=np.uint64)
+        cols = np.array([top, 7, 0], dtype=np.uint64)
+        kept = rows.copy(), cols.copy()
+        grid = keyed_colors_grid(key, n_exp, m_exp, rows, cols)
+        assert grid.dtype == np.uint64 and grid.shape == (4, 3)
+        for i, r in enumerate(rows.tolist()):
+            for j, c in enumerate(cols.tolist()):
+                assert int(grid[i, j]) == keyed_color(key, n_exp, m_exp, r, c)
+        assert np.array_equal(rows, kept[0]) and np.array_equal(cols, kept[1])
+
     def test_wide_colors(self):
         c = keyed_color(key_from_seed(3), 255, 186, 1 << 200, 12)
         assert 0 <= c < 1 << 186

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from balext.core import InvalidParams, TableParams, TooLarge
 from balext import verify
+from balext.mixing import stream_value
 from balext.tables import BalancedTable, keyed_table, key_from_seed, random_table
 from balext.verify import (
     _check_counts,
@@ -22,9 +24,19 @@ from conftest import (
     constant_table,
     dominant_check_oracle,
     naive_balance_oracle,
+    partial_shuffle_oracle,
     prefix_check_oracle,
     structured_table,
 )
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestDominantSubsetEquivalence:
@@ -243,6 +255,65 @@ class TestSampled:
         color = verify_sampled(t, 4, 80, 20, seed=0)
         assert prefix.witness == color.witness
         assert prefix.worst_ratio == color.worst_ratio
+
+    @pytest.mark.parametrize("case", [
+        ("explicit", (6, 3, 4, 3), 3, 333),
+        ("explicit-prefix", (6, 3, 4, 3), None, 333),
+        ("keyed", (16, 8, 3, 3), 3, 150),
+        ("keyed-prefix", (16, 8, 3, 8), None, 150),
+        ("keyed-ranked", (16, 24, 2, 24), 24, 40),
+    ])
+    def test_reports_identical_at_threads_1_2_3(self, case):
+        kind, exps, d_exp, samples = case
+        params = TableParams(*exps)
+        if kind.startswith("explicit"):
+            t = random_table(params, 2)
+        else:
+            t = keyed_table(params, key=key_from_seed(6))
+
+        def report(threads):
+            if d_exp is None:
+                return verify_prefix_balance(t, exps[2], mode="sampled", samples=samples,
+                                             seed=5, threads=threads).to_json()
+            return verify_sampled(t, exps[2], d_exp, samples, seed=5,
+                                  threads=threads).to_json()
+
+        assert report(1) == report(2) == report(3)
+
+    @pytest.mark.parametrize("n_exp", [40, 64])
+    @pytest.mark.parametrize("m_exp", [24, 64])
+    def test_keyed_draws_at_wide_sides(self, n_exp, m_exp):
+        # every rectangle fails when 2 * area / M falls below one cell, so the
+        # witness is sample 0, drawn from streams 0 and 1 of the seed
+        t = keyed_table(TableParams(n_exp, m_exp, 2, m_exp), key=key_from_seed(9))
+        report = verify_sampled(t, 2, m_exp, 3, seed=11)
+        rect = report.witness[0]
+        n_side = 1 << n_exp
+        assert list(rect.rows) == partial_shuffle_oracle(stream_value(11, 0), n_side, 4)
+        assert list(rect.cols) == partial_shuffle_oracle(stream_value(11, 1), n_side, 4)
+        assert len(set(rect.rows)) == 4 and max(rect.rows) < n_side
+
+    def test_draws_beyond_64_bits_refused(self):
+        t = keyed_table(TableParams(65, 8, 2, 3), key=key_from_seed(9))
+        with pytest.raises(TooLarge):
+            verify_sampled(t, 2, 3, 3, seed=0)
+
+    def test_rectangle_beyond_the_explicit_cap_refused(self):
+        t = keyed_table(TableParams(40, 8, 13, 3), key=key_from_seed(9))
+        with pytest.raises(TooLarge):
+            verify_sampled(t, 13, 3, 1, seed=0)
+
+    def test_keyed_memory_is_independent_of_n(self):
+        # a samples x N draw array would be 400 MB here
+        t = keyed_table(TableParams(20, 8, 8, 3), key=key_from_seed(3))
+        assert _peak_bytes(lambda: verify_sampled(t, 8, 3, 48, seed=1)) < 8 << 20
+
+    def test_explicit_memory_is_independent_of_samples(self):
+        t = random_table(TableParams(10, 4, 6, 3), 1)
+        few = _peak_bytes(lambda: verify_sampled(t, 6, 3, 1_000, seed=1))
+        many = _peak_bytes(lambda: verify_sampled(t, 6, 3, 10_000, seed=1))
+        assert many < few + (256 << 10)
+        assert many < 4 << 20
 
     def test_samples_validation(self):
         t = constant_table()
