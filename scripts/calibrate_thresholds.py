@@ -12,7 +12,11 @@ multiple of 8, and committed both here (calibration/thresholds.json) and
 as constants in balext.sources.  Rerunning this script must reproduce the
 JSON byte-for-byte; the constants are never tuned to a test.
 
-Usage: python scripts/calibrate_thresholds.py [--seeds 1000] [--n 1024]
+Usage: python scripts/calibrate_thresholds.py [--seeds 1000] [--n 1024] [--out PATH]
+
+Reproducibility check (the committed JSON must come back byte for byte):
+
+    python scripts/calibrate_thresholds.py --out /tmp/t.json && cmp /tmp/t.json calibration/thresholds.json
 """
 
 import argparse

@@ -53,6 +53,8 @@ class _CliError(Exception):
 
 
 def _read_bits(path: str, bits: int | None) -> BitString:
+    if bits is not None and bits < 0:
+        raise InvalidParams(f"--bits must be >= 0, got {bits}")
     try:
         with open(path, "rb") as fh:
             data = fh.read()

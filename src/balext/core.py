@@ -433,9 +433,11 @@ def derive_seq_schedule(
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'P/Q' or a plain integer string into an exact Fraction."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse 'P/Q' or a plain integer string into an exact Fraction.
+
+    Anything else, a zero denominator included, raises InvalidParams."""
+    num, slash, den = text.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError) as e:
+        raise InvalidParams(f"not a fraction P/Q: {text!r}") from e

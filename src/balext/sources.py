@@ -107,11 +107,6 @@ class ComplexityEstimator(Protocol):
 _MEMO_MAX = 1 << 16   # costs remembered per MatchCompressor
 
 
-def _gamma_bits(n: int) -> int:
-    # Elias gamma code length for n >= 1
-    return 2 * (n.bit_length() - 1) + 1
-
-
 class MatchCompressor:
     """Self-contained bit-level compressor used as the complexity surrogate.
 
@@ -129,6 +124,19 @@ class MatchCompressor:
     max(1, ceil(log2 i)) encodes a match start within the emitted text.
     The estimate is the total token cost; the empty string costs 1 (an
     empty-stream marker).
+
+    The parse runs in O(n) time.  It grows a suffix automaton of the
+    emitted text one bit at a time and keeps the current match s[i:j] with
+    its state between positions (matching statistics):
+
+    * after a literal at i, the match becomes s[i+1:j], which is in the same
+      state or, when L - 1 equals the parent's longest length, in the
+      suffix-link parent; if emitting bit i then clones that state and
+      s[i+1:j] is no longer than the clone, it moves to the clone;
+    * after a taken match, the walk restarts at the root with j = i.
+
+    The walk only ever reads forward from j, so it makes O(n) steps in all,
+    and extending the automaton costs amortized O(1) per bit.
 
     ``estimate`` remembers the cost of each (value, length) it has parsed,
     up to ``_MEMO_MAX`` entries per instance; the memo starts over when
@@ -154,65 +162,86 @@ class MatchCompressor:
         n = len(s)
         if n == 0:
             return 1
-        bits = bytes(s)   # one byte 0/1 per position
-        # Online suffix automaton of the emitted text over the bits {0, 1}:
-        # go[c][state] is the state reached by bit c (-1: none), plus suffix
-        # links and longest lengths, one entry per state.
-        go0, go1 = [-1], [-1]
-        go = (go0, go1)
-        link, length = [-1], [0]
+        bits = bytes(s) + b"\x02"   # one byte 0/1 per position, then an end mark
+        # Online suffix automaton of s[:i] over the bits {0, 1}: go[c][state]
+        # is the state reached by bit c (-1: none), plus suffix links and
+        # longest lengths.  At most 2n - 1 states ever exist, so the last
+        # slot is free: the root's link -1 indexes it, and its transitions
+        # of 0 stop the link walks there.  go[2] lets no walk pass the end.
+        size = 2 * n + 1
+        go0, go1 = [-1] * size, [-1] * size
+        go0[-1] = go1[-1] = 0
+        go = (go0, go1, [-1] * size)
+        link, length = [-1] * size, [0] * size
+        states = 1
         last = 0
         cost = 0
         lit_run = 0
-        i = 0
-        while i < n:
-            node = 0
-            j = i
-            while j < n:
-                node = go[bits[j]][node]
-                if node < 0:
-                    break
-                j += 1
-            match_len = j - i
-            offs = max(1, (i - 1).bit_length())   # max(1, ceil(log2 i)); 1 at i = 0
-            if match_len > 1 + _gamma_bits(match_len) + offs:
-                if lit_run:
-                    cost += 1 + _gamma_bits(lit_run) + lit_run
-                    lit_run = 0
-                cost += 1 + _gamma_bits(match_len) + offs
+        # At a parse position i, s[i:j] is the longest prefix of s[i:] that
+        # occurs in s[:i] and node is its state; the parse emits bits up to
+        # ``end``.  Neither j nor end ever moves back.
+        node = 0
+        j = end = 0
+        for i in range(n):
+            if i == end:
+                while True:
+                    nxt = go[bits[j]][node]
+                    if nxt < 0:
+                        break
+                    node = nxt
+                    j += 1
+                match_len = j - i
+                # 1 + gamma(L) = 2 * L.bit_length() and offs(i) =
+                # (i - 1).bit_length() or 1, so a match of 9 bits or fewer
+                # never costs less than its literal bits
+                if match_len > 9 and match_len > (
+                        token := 2 * match_len.bit_length() + ((i - 1).bit_length() or 1)):
+                    if lit_run:
+                        cost += 2 * lit_run.bit_length() + lit_run
+                        lit_run = 0
+                    cost += token
+                    end = j
+                    node = 0   # restart at the root, which is never cloned
+                else:
+                    lit_run += 1
+                    end = i + 1
+                    if j == i:
+                        j = end
+                    elif match_len - 1 <= length[link[node]]:
+                        node = link[node]   # s[i+1:j] is in the parent state
+                keep = j - end    # length of the match that node carries on
+            # extend the automaton by bit i
+            go_c = go[bits[i]]
+            cur = states
+            states += 1
+            length[cur] = length[last] + 1
+            p = last
+            while go_c[p] < 0:
+                go_c[p] = cur
+                p = link[p]
+            if p < 0:
+                link[cur] = 0
             else:
-                lit_run += 1
-                j = i + 1
-            for c in bits[i:j]:
-                go_c = go[c]
-                cur = len(length)
-                length.append(length[last] + 1)
-                link.append(0)
-                go0.append(-1)
-                go1.append(-1)
-                p = last
-                while p != -1 and go_c[p] < 0:
-                    go_c[p] = cur
-                    p = link[p]
-                if p != -1:
-                    q = go_c[p]
-                    if length[p] + 1 == length[q]:
-                        link[cur] = q
-                    else:
-                        clone = len(length)
-                        length.append(length[p] + 1)
-                        link.append(link[q])
-                        go0.append(go0[q])
-                        go1.append(go1[q])
-                        while p != -1 and go_c[p] == q:
-                            go_c[p] = clone
-                            p = link[p]
-                        link[q] = clone
-                        link[cur] = clone
-                last = cur
-            i = j
+                q = go_c[p]
+                if length[p] + 1 == length[q]:
+                    link[cur] = q
+                else:
+                    clone = states
+                    states += 1
+                    length[clone] = length[p] + 1
+                    link[clone] = link[q]
+                    go0[clone] = go0[q]
+                    go1[clone] = go1[q]
+                    while go_c[p] == q:
+                        go_c[p] = clone
+                        p = link[p]
+                    link[q] = clone
+                    link[cur] = clone
+                    if node == q and keep <= length[clone]:
+                        node = clone   # the carried match moved to the clone
+            last = cur
         if lit_run:
-            cost += 1 + _gamma_bits(lit_run) + lit_run
+            cost += 2 * lit_run.bit_length() + lit_run
         return cost
 
 

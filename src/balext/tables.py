@@ -63,6 +63,7 @@ _BACKEND_NAMES = {BACKEND_RANDOM: "random",
 EXPLICIT_N_EXP_CAP = 12      # default cap: at most 2**24 explicit cells
 EXPLICIT_M_EXP_CAP = 16      # colors must fit the 1/2-byte cell storage
 MICRO_DESCRIPTION_CAP = 24   # canonical search cap on N*N*m_exp bits
+_CONDITION_EXP_CAP = 0xFFFF   # existence check: 2**cap is an 8 KB integer
 _FILL_CHUNK = 1 << 16        # cells per fill step: its uint64 temporaries stay in cache
 
 
@@ -110,10 +111,13 @@ def existence_condition_exponents(
     """Check the existence inequality for N=2^n, M=2^m, S=2^s, D=2^d.
 
     Accepts m_exp = 0 (a single color), unlike :class:`TableParams`, since
-    the inequality itself is defined for any positive sizes.
+    the inequality itself is defined for any positive sizes.  Exponents
+    above 65535 raise TooLarge rather than build their powers of two.
     """
     if n_exp < 0 or m_exp < 0 or not 0 <= s_exp <= n_exp or not 0 <= d_exp <= m_exp:
         raise InvalidParams("need 0 <= s_exp <= n_exp and 0 <= d_exp <= m_exp")
+    if max(n_exp, m_exp) > _CONDITION_EXP_CAP:
+        raise TooLarge(f"exponents above {_CONDITION_EXP_CAP} are not evaluated")
     big_s = 1 << s_exp
     big_m = 1 << m_exp
     big_d = 1 << d_exp

@@ -1,7 +1,11 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from balext.cli import main
 
@@ -39,6 +43,14 @@ class TestCheckCondition:
         )
         assert code == 1
         assert err.startswith("error: invalid-params:")
+
+    def test_huge_exponent_is_one_line_error(self, capsys):
+        code, stdout, err = run(
+            capsys, "check-condition", "--n-exp", str(2**64), "--m-exp", "2",
+            "--s-exp", "1", "--d-exp", "1",
+        )
+        assert code == 1 and stdout == ""
+        assert err == "error: too-large: exponents above 65535 are not evaluated\n"
 
 
 class TestGenVerify:
@@ -237,6 +249,36 @@ class TestExtractCommands:
         assert len(out.read_bytes()) == (186 + 7) // 8
 
 
+class TestFlagValues:
+    @pytest.mark.parametrize("value", ["1/x", "1/0", "abc", ""])
+    def test_bad_rate_is_one_line_error(self, tmp_path, capsys, value):
+        x = tmp_path / "x.bin"
+        x.write_bytes(bytes(8))
+        for argv in (
+            ["transform", "--x", str(x), "--y", str(x), "--tau", value, "--delta", "1/2",
+             "--B", "2", "--out-bits", "11"],
+            ["extract", "--x", str(x), "--y", str(x), "--sigma", value, "--alpha", "1/8"],
+        ):
+            code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / "z.bin"))
+            assert code == 1 and stdout == ""
+            assert err == f"error: invalid-params: not a fraction P/Q: {value!r}\n"
+
+    @pytest.mark.parametrize("cmd,flags", [
+        ("extract", ["--sigma", "1/2", "--alpha", "1/8"]),
+        ("extract-cond", ["--s", "8", "--alpha", "2"]),
+    ])
+    def test_negative_bits_is_invalid_params(self, tmp_path, capsys, cmd, flags):
+        x = tmp_path / "x.bin"
+        x.write_bytes(bytes(2))
+        code, stdout, err = run(
+            capsys, cmd, "--x", str(x), "--y", str(x), *flags, "--bits", "-3",
+            "--out", str(tmp_path / "z.bin"),
+        )
+        assert code == 1 and stdout == ""
+        assert err == "error: invalid-params: --bits must be >= 0, got -3\n"
+        assert not (tmp_path / "z.bin").exists()
+
+
 class TestTransformCommand:
     def test_transform_golden_length(self, tmp_path, capsys):
         x = tmp_path / "x.bin"
@@ -386,3 +428,106 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--" in out and "usage" in out.lower()
+
+
+# Flag values for the argv fuzz.  Every pool keeps a run small: no pool
+# holds a value between 512 and 2**64, whose power of two would have to be
+# built in memory (2**64 itself fails at once), --n and --trials stay at or
+# below 64, and --threads stays in 1..4.
+_RATES = ["1/2", "1/8", "0", "1", "2", "-1", "-1/2", "1/0", "1/x", "abc", "", "3/",
+          str(2**64), "1/" + str(2**64)]
+_EXPS = ["-1", "0", "1", "2", "3", "8", "255", "256", "300", str(2**64), "x", ""]
+_SMALL = ["-1", "0", "1", "2", "12", "64"]
+_INTS = ["-3", "-1", "0", "1", "8", "12", "16", "512", str(2**64), "x", ""]
+_SEEDS = ["0", "-1", "7", "0x1f", str(2**64), str(2**128), "x"]
+_THREADS = ["1", "2", "4"]
+_ERROR_LINE = re.compile(r"^error: [a-z-]+: ", re.M)
+
+
+@st.composite
+def _mutated(draw, cmd, valid: dict, pools: dict, tail: list):
+    """``cmd`` with a valid flag set of which up to three values are
+    replaced from their pools."""
+    flags = dict(valid)
+    for name in draw(st.lists(st.sampled_from(sorted(pools)), max_size=3, unique=True)):
+        flags[name] = draw(st.sampled_from(pools[name]))
+    return [cmd, *(a for kv in flags.items() for a in kv if a is not None), *tail]
+
+
+def _fuzz_argv(tmp: Path):
+    """Strategy for one argv of any subcommand, every file under ``tmp``.
+
+    Tables come from `gen-table` at --n-exp <= 8 (the random backend
+    refuses anything above 12 before it allocates) or from the keyed
+    backend; the canonical backend is left out because its search may
+    check up to 2**24 candidate tables.
+    """
+    x, y, table, keyed = (str(tmp / name) for name in ("x", "y", "t3", "k16"))
+    out = str(tmp / "out")
+    exps = {"--n-exp": _EXPS, "--m-exp": _EXPS, "--s-exp": _EXPS, "--d-exp": _EXPS}
+    return st.one_of(
+        _mutated("gen-table",
+                 {"--n-exp": "3", "--m-exp": "2", "--s-exp": "2", "--d-exp": "1",
+                  "--backend": "random", "--seed": "5"},
+                 {**exps, "--backend": ["random", "keyed"], "--seed": _SEEDS},
+                 ["--out", out]),
+        _mutated("verify-table",
+                 {"--table": table, "--mode": "exhaustive", "--samples": "16",
+                  "--seed": "0", "--threads": "1", "--prefix-balance": None},
+                 {"--table": [table, keyed, x, str(tmp / "none")],
+                  "--mode": ["exhaustive", "sampled"], "--samples": _SMALL,
+                  "--seed": _SEEDS, "--s-exp": _EXPS, "--d-exp": _EXPS,
+                  "--threads": _THREADS, "--prefix-balance": [None]},
+                 ["--report", out]),
+        _mutated("check-condition",
+                 {"--n-exp": "10", "--m-exp": "4", "--s-exp": "8", "--d-exp": "1"},
+                 exps, []),
+        _mutated("extract",
+                 {"--x": x, "--y": y, "--sigma": "1/2", "--alpha": "1/8",
+                  "--bits": "12", "--seed": "7"},
+                 {"--sigma": _RATES, "--alpha": _RATES, "--bits": _INTS,
+                  "--seed": _SEEDS},
+                 ["--out", out]),
+        _mutated("extract-cond",
+                 {"--x": x, "--y": y, "--s": "512", "--alpha": "32", "--seed": "11"},
+                 {"--s": _INTS, "--alpha": _INTS, "--bits": _INTS, "--seed": _SEEDS},
+                 ["--out", out]),
+        _mutated("transform",
+                 {"--x": x, "--y": y, "--tau": "1/2", "--delta": "1/2", "--B": "2",
+                  "--out-bits": "11", "--seed": "3"},
+                 {"--tau": _RATES, "--delta": _RATES, "--B": _INTS,
+                  "--out-bits": _INTS, "--seed": _SEEDS},
+                 ["--out", out]),
+        _mutated("experiment",
+                 {"--n": "12", "--sigma": "1/2", "--alpha": "1/8", "--trials": "64",
+                  "--seed": "1", "--threads": "1"},
+                 {"--n": _SMALL, "--sigma": _RATES, "--alpha": _RATES,
+                  "--trials": _SMALL, "--seed": _SEEDS, "--threads": _THREADS},
+                 ["--csv", out, "--summary", out + ".json"]),
+    )
+
+
+class TestArgvFuzz:
+    def test_every_argv_ends_in_an_exit_code_and_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "x").write_bytes(bytes(range(7, 71)))
+        (tmp_path / "y").write_bytes(bytes(range(64))[::-1])
+        for name, n_exp, backend in (("t3", "3", "random"), ("k16", "16", "keyed")):
+            code, _, _ = run(capsys, "gen-table", "--n-exp", n_exp, "--m-exp", "2",
+                             "--s-exp", "2", "--d-exp", "1", "--backend", backend,
+                             "--out", str(tmp_path / name))
+            assert code == 0
+
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(_fuzz_argv(tmp_path))
+        def check(argv):
+            try:
+                code = main(argv)
+            except SystemExit as e:   # argparse refuses a malformed value
+                code = e.code
+            _, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert "Traceback" not in err
+            assert len(_ERROR_LINE.findall(err)) <= 1, (argv, err)
+
+        check()

@@ -207,3 +207,9 @@ def test_parse_fraction():
     assert parse_fraction("1/2") == F(1, 2)
     assert parse_fraction("3") == 3
     assert parse_fraction(" 97/100 ") == F(97, 100)
+
+
+@pytest.mark.parametrize("text", ["1/x", "1/0", "abc", "", "/", "3/", "1/2/3", "0.5"])
+def test_parse_fraction_refuses_non_fractions(text):
+    with pytest.raises(InvalidParams, match="not a fraction"):
+        parse_fraction(text)

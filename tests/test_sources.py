@@ -45,6 +45,28 @@ _PERIODIC = st.tuples(_bitstrings(16).filter(len), st.integers(0, 700)).map(
     lambda pn: BitString.from01((pn[0].to01() * (700 // len(pn[0]) + 1))[:pn[1]]))
 
 
+def _fibonacci_word(n: int) -> BitString:
+    a, b = "0", "01"
+    while len(b) < n:
+        a, b = b, b + a
+    return BitString.from01(b[:n])
+
+
+def _thue_morse_word(n: int) -> BitString:
+    return BitString.from01("".join(str(k.bit_count() & 1) for k in range(n)))
+
+
+def _sparse_bitstring(seed: int, n: int) -> BitString:
+    # about one bit in eight set
+    a, b, c = (random_bitstring(seed, n, tag).value for tag in (1, 2, 3))
+    return BitString(a & b & c, n)
+
+
+# Fibonacci and Thue-Morse words clone automaton states at many positions;
+# every length up to 200, then the Fibonacci lengths and a few more to 2000.
+_WORD_LENGTHS = [*range(201), 233, 256, 377, 512, 610, 987, 1024, 1597, 2000]
+
+
 class TestPlantedPairs:
     def test_layout(self):
         spec = PlantedPairSpec(16, F(1, 2), F(1, 4), seed=5)
@@ -104,6 +126,30 @@ class TestMatchCompressor:
         x = random_bitstring(5, 2048)
         for s in (random_bitstring(6, 4096), x.concat(x)):
             assert MatchCompressor().cost_bits(s) == match_cost_oracle(s)
+
+    def test_every_short_string_matches_oracle(self):
+        # no match pays below 26 bits, so these pin the all-literal parse
+        # and the automaton's first states
+        est = MatchCompressor()
+        for n in range(13):
+            for v in range(1 << n):
+                s = BitString(v, n)
+                assert est.cost_bits(s) == match_cost_oracle(s), s.to01()
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    @pytest.mark.parametrize("word", [_fibonacci_word, _thue_morse_word])
+    def test_clone_heavy_words_match_oracle(self, word, doubled):
+        est = MatchCompressor()
+        for n in _WORD_LENGTHS:
+            s = word(n).concat(word(n)) if doubled else word(n)
+            assert est.cost_bits(s) == match_cost_oracle(s), n
+
+    def test_sparse_strings_match_oracle(self):
+        # long zero runs move the carried match into freshly cloned states
+        est = MatchCompressor()
+        for seed in range(300):
+            s = _sparse_bitstring(seed, 26 + 3 * seed)
+            assert est.cost_bits(s) == match_cost_oracle(s), seed
 
     def test_redundancy_detected(self):
         est = MatchCompressor()
