@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .core import (
@@ -200,8 +201,19 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line like any other invalid parameter:
+    one ``error: invalid-params:`` line and exit 1, not argparse's usage
+    block and exit 2, the code of a failed verification."""
+
+    def error(self, message: str):
+        raise InvalidParams(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The CLI parser, built once per process."""
+    ap = _Parser(
         prog="balext",
         description="Construct and verify balanced color tables and run the "
         "table-indexing extractors over strings, streams, and experiments.",
@@ -299,9 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except _CliError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)

@@ -92,15 +92,21 @@ def scramble_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def scramble_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def scramble_inplace(
+    z: np.ndarray, tmp: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """:func:`scramble_np` of uint64 ``z``, written into ``z``; ``tmp``, of
-    the same shape, is overwritten as scratch."""
-    for shift, mul in ((30, _NP_MUL1), (27, _NP_MUL2), (31, None)):
+    the same shape, is overwritten as scratch.  With ``out``, the last step
+    writes there instead (``z`` is then left holding an intermediate), cast
+    to ``out``'s unsigned dtype, which keeps the low bits of each output."""
+    for shift, mul in ((30, _NP_MUL1), (27, _NP_MUL2)):
         np.right_shift(z, np.uint64(shift), out=tmp)
         z ^= tmp
-        if mul is not None:
-            z *= mul
-    return z
+        z *= mul
+    np.right_shift(z, np.uint64(31), out=tmp)
+    if out is None:
+        out = z
+    return np.bitwise_xor(z, tmp, out=out, casting="unsafe")
 
 
 def stream_block_np(state: int, start: int, count: int) -> np.ndarray:

@@ -194,11 +194,14 @@ def block_table(
         table = random_table(params, seed, explicit_cap=policy.explicit_cap)
         if verify_samples > 0:
             # D = M per block, so the prefix check is the relevant one: it
-            # covers every output-prefix length, not just whole colors
+            # covers every output-prefix length, not just whole colors.  At
+            # S = N every sample is the whole table, so one gives the verdict
+            # and the worst ratio of any number.
             from .verify import verify_prefix_balance
 
             report = verify_prefix_balance(
-                table, params.s_exp, mode="sampled", samples=verify_samples,
+                table, params.s_exp, mode="sampled",
+                samples=1 if params.s_exp == params.n_exp else verify_samples,
                 seed=seed,
             )
             if not report.passed:

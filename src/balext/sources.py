@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import threading
@@ -30,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Protocol
 
+import numpy as np
+
 from .core import (
     BitString,
     InvalidParams,
@@ -38,7 +41,7 @@ from .core import (
     round_half_up,
 )
 from .extract import TablePolicy, table_for
-from .mixing import stream_bits, stream_value, substream
+from .mixing import GAMMA, MASK64, scramble_np, stream_bits, stream_block_np, substream
 
 # Fixed by the calibration campaign committed under calibration/ (n = 1024,
 # 1000 seeds): max |dep| observed on independent pairs was 48 bits and the
@@ -81,18 +84,47 @@ def _bit_counts(n: int, sigma, alpha) -> tuple[int, int]:
     return round_half_up(Fraction(alpha) * n), round_half_up(Fraction(sigma) * n)
 
 
-def gen_planted_pair(spec: PlantedPairSpec) -> tuple[BitString, BitString]:
+def gen_planted_pair(
+    spec: PlantedPairSpec, *, seed: int | None = None
+) -> tuple[BitString, BitString]:
     """Deterministic planted pair; streams 1, 2, 3 of the spec seed feed
-    r1, r2, and the shared block respectively."""
+    r1, r2, and the shared block respectively.  A given ``seed`` replaces
+    the spec's: the pair of that seed at the spec's shape."""
     n_shared, n_random = _bit_counts(spec.n, spec.sigma, spec.alpha)
+    seed = spec.seed if seed is None else seed
     n_free = n_random - n_shared
     pad = spec.n - n_random
-    shared = stream_bits(substream(spec.seed, 3), n_shared)
-    r1 = stream_bits(substream(spec.seed, 1), n_free)
-    r2 = stream_bits(substream(spec.seed, 2), n_free)
+    shared = stream_bits(substream(seed, 3), n_shared)
+    r1 = stream_bits(substream(seed, 1), n_free)
+    r2 = stream_bits(substream(seed, 2), n_free)
     x = ((r1 << n_shared) | shared) << pad
     y = ((r2 << n_shared) | shared) << pad
     return BitString(x, spec.n), BitString(y, spec.n)
+
+
+def _planted_pairs_np(
+    n: int, n_shared: int, n_random: int, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gen_planted_pair` for every uint64 seed at once, as the uint64
+    values of x and y; needs n <= 64.  No shift reaches 64 bits."""
+
+    def bits(tag: int, count: int) -> np.ndarray:
+        # stream_bits(substream(seed, tag), count), count <= 64
+        if count == 0:
+            return np.zeros_like(seeds)
+        state = scramble_np(seeds + np.uint64((tag + 1) * GAMMA & MASK64))
+        return scramble_np(state + np.uint64(GAMMA)) >> np.uint64(64 - count)
+
+    n_free = n_random - n_shared
+    shared = bits(3, n_shared)
+
+    def place(r: np.ndarray) -> np.ndarray:
+        # ((r << n_shared) | shared) << pad; n_free > 0 makes n_shared < 64,
+        # and n_random > 0 makes pad < 64
+        v = (r << np.uint64(n_shared)) | shared if n_free else shared
+        return v << np.uint64(n - n_random) if n_random else v
+
+    return place(bits(1, n_free)), place(bits(2, n_free))
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +137,7 @@ class ComplexityEstimator(Protocol):
 
 
 _MEMO_MAX = 1 << 16   # costs remembered per MatchCompressor
+_LITERAL_ONLY_MAX = 25   # no match pays in a shorter input (MatchCompressor)
 
 
 class MatchCompressor:
@@ -138,6 +171,14 @@ class MatchCompressor:
     The walk only ever reads forward from j, so it makes O(n) steps in all,
     and extending the automaton costs amortized O(1) per bit.
 
+    Inputs of 1 to 25 bits cost n + 2 * n.bit_length(), one literal run,
+    without a parse.  A match at i of length L lies in s[:i] and in s[i:],
+    so L <= i and L <= n - i, hence L <= 12 when n <= 25.  It pays only if
+    L > 2 * L.bit_length() + offs(i): never for L <= 9, since offs(i) >= 1,
+    and for L in 10..12 only if offs(i) < L - 8 <= 4, i.e. i <= 8 < L.  The
+    first match that pays is at i = L = 13 (12 < 13), so n = 26 is the
+    shortest input that can cost less: 26 zeros cost 33, not 36.
+
     ``estimate`` remembers the cost of each (value, length) it has parsed,
     up to ``_MEMO_MAX`` entries per instance; the memo starts over when
     full.  ``cost_bits`` always parses.
@@ -160,8 +201,8 @@ class MatchCompressor:
 
     def cost_bits(self, s: BitString) -> int:
         n = len(s)
-        if n == 0:
-            return 1
+        if n <= _LITERAL_ONLY_MAX:
+            return n + 2 * n.bit_length() if n else 1
         bits = bytes(s) + b"\x02"   # one byte 0/1 per position, then an end mark
         # Online suffix automaton of s[:i] over the bits {0, 1}: go[c][state]
         # is the state reached by bit c (-1: none), plus suffix links and
@@ -356,21 +397,37 @@ class ExperimentReport:
                 w.writerow([r.trial, r.seed, r.dep_planted, f"{r.dep_hat:.1f}", r.z_hex])
 
 
+_BATCH_MAX_BITS = 64   # trials are batched while an input fits one uint64
+
+
 def _experiment_chunk(spec, table, m_exp, estimator, start, count):
-    hexw = (m_exp + 3) // 4
-    n_shared = spec.shared_bits
-    rows = []
-    outs: Counter = Counter()
-    for t in range(start, start + count):
-        t_seed = stream_value(spec.seed, t)
-        x, y = gen_planted_pair(
-            PlantedPairSpec(spec.n, spec.sigma, spec.alpha, t_seed)
-        )
-        z = table.lookup(x.value, y.value)
-        outs[z] += 1
-        dep_hat = dep_estimate(x, y, estimator)
-        rows.append(TrialRow(t, t_seed, n_shared, dep_hat, format(z, f"0{hexw}x")))
-    return rows, outs
+    n = spec.n
+    n_shared, n_random = _bit_counts(n, spec.sigma, spec.alpha)
+    seeds = stream_block_np(spec.seed, start, count)
+    zs = None
+    if n <= _BATCH_MAX_BITS:
+        xs, ys = _planted_pairs_np(n, n_shared, n_random, seeds)
+        if table.cells is not None:
+            zs = table.cells[xs.astype(np.intp), ys.astype(np.intp)].tolist()
+        pairs = list(zip(xs.tolist(), ys.tolist()))
+    else:
+        pairs = []
+        for t_seed in seeds.tolist():
+            x, y = gen_planted_pair(spec, seed=t_seed)
+            pairs.append((x.value, y.value))
+    # every distinct pair is estimated once (and looked up once in a keyed
+    # table), in order of first appearance
+    dep_of = dict.fromkeys(pairs)
+    for x, y in dep_of:
+        dep_of[x, y] = dep_estimate(BitString(x, n), BitString(y, n), estimator)
+    if zs is None:
+        color_of = {p: table.lookup(*p) for p in dep_of}
+        zs = [color_of[p] for p in pairs]
+    fmt = f"0{(m_exp + 3) // 4}x"
+    rows = list(map(TrialRow, range(start, start + count), seeds.tolist(),
+                    itertools.repeat(n_shared), [dep_of[p] for p in pairs],
+                    [format(z, fmt) for z in zs]))
+    return rows, Counter(zs)
 
 
 def run_extraction_experiment(
@@ -386,6 +443,12 @@ def run_extraction_experiment(
     Trial t draws its pair from seed ``stream_value(spec.seed, t)``; the
     table comes from the policy once and is shared across trials.  Reports
     are bit-identical for any thread count.
+
+    Each thread takes one contiguous run of trials.  Up to n = 64 bits a
+    run is batched: its seeds, pairs and explicit-table cells come from
+    numpy uint64 arrays.  Longer inputs run one trial at a time through
+    :func:`gen_planted_pair`.  Either way the estimator and a keyed table
+    see each distinct (x, y) once.
     """
     if trials < 1:
         raise InvalidParams("need trials >= 1")

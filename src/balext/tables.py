@@ -64,7 +64,7 @@ EXPLICIT_N_EXP_CAP = 12      # default cap: at most 2**24 explicit cells
 EXPLICIT_M_EXP_CAP = 16      # colors must fit the 1/2-byte cell storage
 MICRO_DESCRIPTION_CAP = 24   # canonical search cap on N*N*m_exp bits
 _CONDITION_EXP_CAP = 0xFFFF   # existence check: 2**cap is an 8 KB integer
-_FILL_CHUNK = 1 << 16        # cells per fill step: its uint64 temporaries stay in cache
+_FILL_CHUNK = 1 << 16        # cells per fill step: its two uint64 buffers stay in cache
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +337,28 @@ class BalancedTable:
 
 def _random_cells(seed: int, n_exp: int, m_exp: int) -> np.ndarray:
     n_side = 1 << n_exp
-    mask = np.uint64((1 << m_exp) - 1)
-    out = np.empty((n_side, n_side), dtype=_cell_dtype(m_exp))
+    dtype = _cell_dtype(m_exp)
+    out = np.empty((n_side, n_side), dtype=dtype)
     # row r's stream state is output r of the master stream
     row_states = scramble_np(
         np.uint64(seed & MASK64)
         + np.arange(1, n_side + 1, dtype=np.uint64) * np.uint64(GAMMA)
     )
     ks = np.arange(1, n_side + 1, dtype=np.uint64) * np.uint64(GAMMA)
-    chunk = max(1, _FILL_CHUNK // n_side)
+    # The fill runs in place: each chunk's SplitMix steps reuse two uint64
+    # buffers, and the last xor writes straight into the cells, keeping the
+    # low 8 or 16 bits; the mask then runs on the narrow cells, and only
+    # when m_exp is below their width.
+    chunk = min(n_side, max(1, _FILL_CHUNK // n_side))
+    z_buf = np.empty((chunk, n_side), dtype=np.uint64)
+    tmp_buf = np.empty_like(z_buf)
+    narrow_mask = dtype.type((1 << m_exp) - 1) if m_exp < 8 * dtype.itemsize else None
     for r0 in range(0, n_side, chunk):
         r1 = min(n_side, r0 + chunk)
-        vals = scramble_np(row_states[r0:r1, None] + ks[None, :])
-        np.bitwise_and(vals, mask, out=out[r0:r1], casting="unsafe")
+        z = np.add(row_states[r0:r1, None], ks, out=z_buf[:r1 - r0])
+        cells = scramble_inplace(z, tmp_buf[:r1 - r0], out=out[r0:r1])
+        if narrow_mask is not None:
+            cells &= narrow_mask
     out.setflags(write=False)
     return out
 

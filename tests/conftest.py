@@ -1,8 +1,9 @@
 """Shared test helpers: structured balanced micro tables, the naive
 all-colorset balance oracle, scalar per-rectangle check oracles, a scalar
-partial Fisher-Yates and a dict-based oracle for the MatchCompressor
-parse."""
+partial Fisher-Yates, a dict-based oracle for the MatchCompressor parse
+and a one-trial-at-a-time oracle for planted experiments."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ import pytest
 
 from balext.core import BitString, TableParams, ceil_log2
 from balext.mixing import bounded, stream_value
+from balext.sources import PlantedPairSpec, TrialRow, dep_estimate, gen_planted_pair
 from balext.tables import BACKEND_RANDOM, BalancedTable
 
 
@@ -208,6 +210,23 @@ def match_cost_oracle(s: BitString) -> int:
     if lit_run:
         cost += 1 + _gamma_bits(lit_run) + lit_run
     return cost
+
+
+def experiment_chunk_oracle(spec, table, m_exp, estimator, start, count):
+    """(rows, output counts) of trials start .. start+count-1, one trial at a
+    time: a spec and a pair per trial seed, the table's scalar lookup and an
+    estimate per trial, as ``sources._experiment_chunk`` returns them."""
+    hexw = (m_exp + 3) // 4
+    rows = []
+    outs: Counter = Counter()
+    for t in range(start, start + count):
+        t_seed = stream_value(spec.seed, t)
+        x, y = gen_planted_pair(PlantedPairSpec(spec.n, spec.sigma, spec.alpha, t_seed))
+        z = table.lookup(x.value, y.value)
+        outs[z] += 1
+        dep_hat = dep_estimate(x, y, estimator)
+        rows.append(TrialRow(t, t_seed, spec.shared_bits, dep_hat, format(z, f"0{hexw}x")))
+    return rows, outs
 
 
 @pytest.fixture

@@ -278,6 +278,22 @@ class TestFlagValues:
         assert err == "error: invalid-params: --bits must be >= 0, got -3\n"
         assert not (tmp_path / "z.bin").exists()
 
+    @pytest.mark.parametrize("argv,detail", [
+        (["gen-table", "--n-exp", "x", "--m-exp", "2", "--s-exp", "1", "--d-exp", "1",
+          "--out", "t.btab"], "argument --n-exp: invalid int value: 'x'"),
+        (["gen-table", "--n-exp", "3"],
+         "the following arguments are required: --m-exp, --s-exp, --d-exp, --out"),
+        (["experiment", "--n", "12", "--sigma", "1/2", "--alpha", "0", "--trials", "4",
+          "--threads"], "argument --threads: expected one argument"),
+        (["check-condition", "--n-exp", "3", "--m-exp", "2", "--s-exp", "2",
+          "--d-exp", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_argparse_refusal_is_one_line_error(self, capsys, argv, detail):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert err == f"error: invalid-params: {detail}\n"
+
 
 class TestTransformCommand:
     def test_transform_golden_length(self, tmp_path, capsys):
@@ -521,10 +537,7 @@ class TestArgvFuzz:
                   suppress_health_check=[HealthCheck.too_slow])
         @given(_fuzz_argv(tmp_path))
         def check(argv):
-            try:
-                code = main(argv)
-            except SystemExit as e:   # argparse refuses a malformed value
-                code = e.code
+            code = main(argv)
             _, err = capsys.readouterr()
             assert code in (0, 1, 2, 3), (argv, code)
             assert "Traceback" not in err

@@ -1,6 +1,10 @@
+import logging
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+
+from balext import seqtransform
 
 from balext.core import BitString, InvalidParams, OutOfRange, derive_seq_schedule
 from balext.extract import TablePolicy
@@ -18,6 +22,8 @@ from balext.seqtransform import (
     transform_prefix,
 )
 from balext.mixing import stream_bits, stream_value
+from balext.tables import BACKEND_RANDOM, BalancedTable
+from balext.verify import verify_prefix_balance
 
 GOLDEN_TRANSFORM_11 = "00101101000"  # tau=1/2 delta=1/2 B=2, x=seed101, y=seed202, tables seed 3
 
@@ -257,3 +263,37 @@ class TestBlockTables:
         # warning may or may not fire depending on the draw; the call itself
         # must succeed either way
         assert block_table(sched, 2, pol, verify_samples=0).is_explicit
+
+    def test_whole_table_blocks_warn_as_with_sixteen_samples(self, caplog, monkeypatch):
+        # at S = N every sample is the whole table, so block_table checks one:
+        # its verdict, worst ratio and warning are those of 16 samples
+        sched = derive_seq_schedule(F(1), F(1, 2), 2, 3)   # n = s_exp = 2, 4, 8
+        pol = TablePolicy(seed=5)
+
+        def checks(table, i):
+            s_exp = table.params.s_exp
+            return [verify_prefix_balance(table, s_exp, mode="sampled", samples=k,
+                                          seed=block_seed(pol.seed, i))
+                    for k in (1, 16)]
+
+        def constant(params, seed, explicit_cap):
+            cells = np.zeros((params.n_side, params.n_side), dtype=np.uint8)
+            cells.setflags(write=False)
+            return BalancedTable(params, BACKEND_RANDOM, seed, cells)
+
+        for i in (1, 2, 3):
+            params = sched.block(i).table_params()
+            assert params.s_exp == params.n_exp
+            for table in (block_table(sched, i, pol, verify_samples=0),
+                          constant(params, 0, 12)):
+                one, sixteen = checks(table, i)
+                assert (one.passed, one.worst_ratio) == (sixteen.passed, sixteen.worst_ratio)
+        monkeypatch.setattr(seqtransform, "random_table", constant)
+        with caplog.at_level(logging.WARNING, logger="balext.seqtransform"):
+            table = block_table(sched, 2, pol)
+        _, sixteen = checks(table, 2)
+        assert not sixteen.passed
+        assert caplog.messages == [
+            "block 2 explicit table failed sampled prefix-balance check "
+            f"(worst ratio {sixteen.worst_ratio})"
+        ]

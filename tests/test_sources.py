@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balext.core import BitString, InvalidParams
+from balext.core import BitString, InvalidParams, TableParams
 from balext.extract import TablePolicy
 from balext.mixing import stream_bits, stream_value, substream
 from balext import sources
@@ -25,7 +25,8 @@ from balext.sources import (
     min_entropy_empirical,
     run_extraction_experiment,
 )
-from conftest import match_cost_oracle
+from balext.tables import keyed_table, random_table
+from conftest import experiment_chunk_oracle, match_cost_oracle
 
 
 def random_bitstring(seed: int, n: int, tag: int = 1) -> BitString:
@@ -128,13 +129,25 @@ class TestMatchCompressor:
             assert MatchCompressor().cost_bits(s) == match_cost_oracle(s)
 
     def test_every_short_string_matches_oracle(self):
-        # no match pays below 26 bits, so these pin the all-literal parse
-        # and the automaton's first states
+        # no match pays below 26 bits, so these pin the closed form
+        # n + 2 * n.bit_length() of the all-literal parse
         est = MatchCompressor()
-        for n in range(13):
+        for n in range(17):
             for v in range(1 << n):
                 s = BitString(v, n)
                 assert est.cost_bits(s) == match_cost_oracle(s), s.to01()
+
+    def test_closed_form_up_to_25_bits(self):
+        est = MatchCompressor()
+        strings = [random_bitstring(seed, 17 + seed % 9) for seed in range(2000)]
+        strings += [BitString.from01((BitString(v, p).to01() * 25)[:n])
+                    for p in range(1, 9) for v in range(1 << p) for n in range(17, 26)]
+        for s in strings:
+            n = len(s)
+            assert est.cost_bits(s) == match_cost_oracle(s) == n + 2 * n.bit_length(), s
+        # the bound is tight: 26 zeros take a match at i = 13
+        zeros = BitString.zeros(26)
+        assert est.cost_bits(zeros) == match_cost_oracle(zeros) == 33 != 26 + 2 * 5
 
     @pytest.mark.parametrize("doubled", [False, True])
     @pytest.mark.parametrize("word", [_fibonacci_word, _thue_morse_word])
@@ -322,3 +335,41 @@ class TestExperiment:
         rep = run_extraction_experiment(spec, 20, TablePolicy(kind="random", seed=42))
         rep2 = run_extraction_experiment(spec, 20, TablePolicy(kind="random", seed=42))
         assert rep.table_digest == rep2.table_digest
+
+
+class TestBatchedTrials:
+    """Batched trials (n <= 64) and the per-trial loop (n > 64) against the
+    one-trial-at-a-time oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 63, 64, 65])
+    def test_chunk_equals_oracle(self, n):
+        params = TableParams(n, 7, 0, 0)
+        tables = [keyed_table(params, key=0xABCDEF)]
+        if n <= 12:
+            tables.append(random_table(params, seed=3))
+        for table in tables:
+            for sigma in (F(1, 2), F(1)):
+                for alpha in (F(0), sigma):
+                    spec = PlantedPairSpec(n, sigma, alpha, seed=-5)
+                    args = (spec, table, 7, MatchCompressor(), 9, 150)
+                    assert sources._experiment_chunk(*args) == experiment_chunk_oracle(*args)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("kind", ["auto", "keyed"])
+    @pytest.mark.parametrize("n", [12, 63, 64, 65, 256])
+    def test_report_bytes_equal_oracle(self, tmp_path, monkeypatch, n, kind, threads):
+        batched = sources._experiment_chunk
+        trials = 40 if n > 64 else 200
+
+        def report_bytes(spec, chunk):
+            monkeypatch.setattr(sources, "_experiment_chunk", chunk)
+            rep = run_extraction_experiment(spec, trials, TablePolicy(kind=kind, seed=5),
+                                            threads=threads)
+            rep.write_csv(tmp_path / "rows.csv")
+            return (tmp_path / "rows.csv").read_bytes(), rep.to_json()
+
+        for sigma in (F(1, 2), F(1)):
+            for alpha in (F(0), sigma):
+                spec = PlantedPairSpec(n, sigma, alpha, seed=n + 2**64)
+                assert report_bytes(spec, batched) == report_bytes(
+                    spec, experiment_chunk_oracle), (sigma, alpha)

@@ -117,6 +117,21 @@ class TestRandomTable:
         last = stream_value(seed, n_side - 1)
         assert t.cells[-1].tolist() == [stream_value(last, c) & mask for c in range(n_side)]
 
+    @pytest.mark.parametrize("m_exp", [1, 5, 8, 9, 15, 16])
+    @pytest.mark.parametrize("n_exp", [0, 1, 12])
+    def test_in_place_fill_matches_stream_rule(self, n_exp, m_exp):
+        # the fill itself, since a table needs n_exp >= 1
+        seed = 0x5EED + 31 * m_exp
+        cells = tables._random_cells(seed, n_exp, m_exp)
+        n_side, mask = 1 << n_exp, (1 << m_exp) - 1
+        assert cells.shape == (n_side, n_side)
+        assert cells.dtype == (np.uint8 if m_exp <= 8 else np.uint16)
+        for r in range(n_side):
+            state = stream_value(seed, r)
+            assert np.array_equal(cells[r], stream_block_np(state, 0, n_side) & mask)
+        for r, c in {(0, 0), (n_side - 1, n_side - 1), (n_side // 3, n_side // 2)}:
+            assert int(cells[r, c]) == stream_value(stream_value(seed, r), c) & mask
+
     def test_color_frequencies_uniform(self):
         # global frequency of each color within 5 sigma of N^2/M
         p = TableParams(8, 4, 6, 1)
