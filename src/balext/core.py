@@ -420,11 +420,16 @@ def derive_seq_schedule(
         raise InvalidParams("need max_block >= 1")
     eps = delta / 4
     alpha = Fraction(1, 3) * eps * eps * (RATE_NUM * tau) * Fraction(1, block_base)
+    # floor(r * tau * n) and ceil(r * tau * n) over the integer ratio
+    # r * tau = num / den, one integer division per block
+    m_num, m_den = (RATE_NUM * tau).as_integer_ratio()
+    s_num, s_den = (SIDE_NUM * tau).as_integer_ratio()
     blocks = []
+    n_i = 1
     for i in range(1, max_block + 1):
-        n_i = block_base**i
-        m_i = math.floor(RATE_NUM * tau * n_i)
-        s_i = math.ceil(SIDE_NUM * tau * n_i)
+        n_i *= block_base
+        m_i = m_num * n_i // m_den
+        s_i = -(-s_num * n_i // s_den)
         blocks.append(BlockSpec(index=i, n_bits=n_i, m_bits=m_i, s_exp=s_i, d_exp=m_i))
     return SeqSchedule(
         tau=tau, delta=delta, block_base=block_base,

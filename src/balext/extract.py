@@ -9,7 +9,9 @@ the sources module provides the statistical stand-in.
 Table policy: "canonical" works at micro scale only, "random" materializes
 a seeded explicit table up to the explicit cap, "keyed" computes colors on
 demand at any size, and "auto" picks random when the shape fits the cap
-and keyed otherwise (keyed key expanded from the seed).
+and keyed otherwise (keyed key expanded from the seed).  :func:`table_for`
+is the one constructor behind a policy, for the extractors, the
+experiments and the sequence transformer alike.
 """
 
 from __future__ import annotations
@@ -63,32 +65,53 @@ _TABLE_CACHE_MAX = 8
 _TABLE_CACHE_MAX_BYTES = 1 << 25   # cell bytes kept beyond the newest table
 
 
-def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
-    """Construct (or fetch from a small cache) the policy's table.
-
-    Cached instances are immutable, so this is observationally identical
-    to reconstructing the table on every call.  The cache keeps at most
-    ``_TABLE_CACHE_MAX`` tables and, apart from the newest one, at most
-    ``_TABLE_CACHE_MAX_BYTES`` of cells; the oldest entries go first.
-    """
+def _cache_key(params: TableParams, policy: TablePolicy) -> tuple | None:
+    """(params, kind, what else picks the table) for a table with cells,
+    with "auto" resolved to the kind it picks for these params; None for a
+    keyed table, which is never cached."""
     kind = policy.kind
     if kind == "auto":
         kind = "random" if policy.fits_explicit(params) else "keyed"
     if kind == "random":
-        key = (params, "random", policy.seed, policy.explicit_cap)
-    elif kind == "keyed":
-        key = (params, "keyed", policy.effective_key())
-    elif kind == "canonical":
-        key = (params, "canonical", policy.micro_cap)
-    else:
-        raise InvalidParams(f"unknown table policy kind {policy.kind!r}")
+        return (params, kind, policy.seed, policy.explicit_cap)
+    if kind == "canonical":
+        return (params, kind, policy.micro_cap)
+    if kind == "keyed":
+        return None
+    raise InvalidParams(f"unknown table policy kind {policy.kind!r}")
+
+
+def cached_table(params: TableParams, policy: TablePolicy) -> BalancedTable | None:
+    """The table :func:`table_for` would return from its cache, or None
+    when that call would build one."""
+    key = _cache_key(params, policy)
+    if key is None:
+        return None
+    with _table_cache_lock:
+        return _table_cache.get(key)
+
+
+def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
+    """Construct (or fetch from the process-wide cache) the policy's table.
+
+    The extractors, the planted experiments and every block of the
+    sequence transformer get their tables here.
+
+    Cached instances are immutable, so this is observationally identical
+    to reconstructing the table on every call.  Only tables with cells are
+    cached: a keyed table is built in O(1) and never evicts one that cost a
+    fill.  The cache keeps at most ``_TABLE_CACHE_MAX`` tables and, apart
+    from the newest one, at most ``_TABLE_CACHE_MAX_BYTES`` of cells; the
+    oldest entries go first.
+    """
+    key = _cache_key(params, policy)
+    if key is None:
+        return keyed_table(params, policy.effective_key())
     with _table_cache_lock:
         if key in _table_cache:
             return _table_cache[key]
-    if kind == "random":
+    if key[1] == "random":
         table = random_table(params, policy.seed, explicit_cap=policy.explicit_cap)
-    elif kind == "keyed":
-        table = keyed_table(params, policy.effective_key())
     else:
         table = canonical_table(params, micro_cap=policy.micro_cap)
     with _table_cache_lock:
@@ -103,7 +126,7 @@ def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
 
 
 def _cached_cell_bytes() -> int:
-    return sum(t.cells.nbytes for t in _table_cache.values() if t.cells is not None)
+    return sum(t.cells.nbytes for t in _table_cache.values())
 
 
 def _lookup_bits(table: BalancedTable, x: BitString, y: BitString) -> BitString:

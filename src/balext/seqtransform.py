@@ -15,22 +15,23 @@ is a truth-table reduction).  Streams are read in one bulk call,
 of those positions once.
 
 Per-block tables are reproducible: block i's seed is output i of the
-master seed's stream; blocks that fit the explicit cap get explicit random
-tables (sampled-verified on construction, logging a warning on failure),
-larger blocks fall back to the keyed backend unless the policy forbids it.
+master seed's stream.  Every block table comes from ``extract.table_for``
+with that seed: blocks that fit the explicit cap get explicit random
+tables (sampled-verified when built, logging a warning on failure), larger
+blocks fall back to the keyed backend unless the policy forbids it.
 """
 
 from __future__ import annotations
 
 import bisect
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol, runtime_checkable
 
 from .core import BitString, InvalidParams, OutOfRange, SeqSchedule, TooLarge
-from .extract import TablePolicy
+from .extract import TablePolicy, cached_table, table_for
 from .mixing import stream_bits, stream_value
-from .tables import BalancedTable, key_from_seed, keyed_table, random_table
+from .tables import BalancedTable
 
 logger = logging.getLogger(__name__)
 
@@ -186,40 +187,52 @@ def block_table(
     *,
     verify_samples: int = 16,
 ) -> BalancedTable:
-    """Construct block i's table under the policy's backend escalation."""
-    spec = schedule.block(i)
-    params = spec.table_params()
-    seed = block_seed(policy.seed, i)
-    if policy.fits_explicit(params):
-        table = random_table(params, seed, explicit_cap=policy.explicit_cap)
-        if verify_samples > 0:
-            # D = M per block, so the prefix check is the relevant one: it
-            # covers every output-prefix length, not just whole colors.  At
-            # S = N every sample is the whole table, so one gives the verdict
-            # and the worst ratio of any number.
-            from .verify import verify_prefix_balance
+    """Block i's table, from :func:`table_for` under the policy with block
+    i's seed, so the process-wide table cache serves every transformer and
+    every block.  A block that fits the explicit cap gets an explicit
+    random table, a larger one a keyed table unless the policy forbids it.
 
-            report = verify_prefix_balance(
-                table, params.s_exp, mode="sampled",
-                samples=1 if params.s_exp == params.n_exp else verify_samples,
-                seed=seed,
+    An explicit table is checked with ``verify_samples`` sampled
+    rectangles when ``table_for`` builds it, not when the cache returns it,
+    so a failed check logs one warning per built table; 0 skips the check.
+    Two threads that build the same table at once both check it.
+    """
+    params = schedule.block(i).table_params()
+    seed = block_seed(policy.seed, i)
+    block_policy = replace(policy, kind="auto", seed=seed, key=None)
+    if not policy.fits_explicit(params):
+        if not policy.allow_keyed_fallback:
+            raise BlockTooLarge(
+                f"block {i} needs n_exp = {params.n_exp} > cap {policy.explicit_cap} "
+                "and keyed fallback is disabled"
             )
-            if not report.passed:
-                logger.warning(
-                    "block %d explicit table failed sampled prefix-balance check "
-                    "(worst ratio %s)", i, report.worst_ratio,
-                )
-        return table
-    if not policy.allow_keyed_fallback:
-        raise BlockTooLarge(
-            f"block {i} needs n_exp = {params.n_exp} > cap {policy.explicit_cap} "
-            "and keyed fallback is disabled"
+        return table_for(params, block_policy)
+    cached = cached_table(params, block_policy)
+    table = table_for(params, block_policy)
+    if table is not cached and verify_samples > 0:
+        # D = M per block, so the prefix check is the relevant one: it
+        # covers every output-prefix length, not just whole colors.  At
+        # S = N every sample is the whole table, so one gives the verdict
+        # and the worst ratio of any number.
+        from .verify import verify_prefix_balance
+
+        report = verify_prefix_balance(
+            table, params.s_exp, mode="sampled",
+            samples=1 if params.s_exp == params.n_exp else verify_samples,
+            seed=seed,
         )
-    return keyed_table(params, key_from_seed(seed))
+        if not report.passed:
+            logger.warning(
+                "block %d explicit table failed sampled prefix-balance check "
+                "(worst ratio %s)", i, report.worst_ratio,
+            )
+    return table
 
 
 class SequenceTransformer:
-    """Binds (x, y, schedule, policy) and memoizes per-block tables."""
+    """Binds (x, y, schedule, policy); block tables come from
+    :func:`block_table`, whose cache is the process-wide one of
+    :func:`table_for`."""
 
     def __init__(
         self,
@@ -236,27 +249,14 @@ class SequenceTransformer:
         self.policy = policy
         self.verify_samples = verify_samples
         self.layout = BlockLayout.from_schedule(schedule)
-        self._tables: dict[int, BalancedTable] = {}
-        import threading
-
-        self._lock = threading.Lock()
-
-    def _table(self, i: int) -> BalancedTable:
-        with self._lock:
-            t = self._tables.get(i)
-        if t is not None:
-            return t
-        t = block_table(
-            self.schedule, i, self.policy, verify_samples=self.verify_samples
-        )
-        with self._lock:
-            return self._tables.setdefault(i, t)
 
     def _block_output(self, i: int, x_prefix: BitString, y_prefix: BitString) -> BitString:
         a, b = self.layout.input_range(i)
         x_i = x_prefix.substring(a, b)
         y_i = y_prefix.substring(a, b)
-        table = self._table(i)
+        table = block_table(
+            self.schedule, i, self.policy, verify_samples=self.verify_samples
+        )
         return BitString(table.lookup(x_i.value, y_i.value), table.params.m_exp)
 
     def output_bit(self, pos: int) -> int:

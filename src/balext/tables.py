@@ -155,6 +155,11 @@ def _absorb(h: int, word: int) -> int:
     return scramble(((h ^ word) + GAMMA) & MASK64)
 
 
+def _words(value: int, count: int) -> tuple[int, ...]:
+    """The ``count`` little-endian 64-bit words of a value below 2^(64 count)."""
+    return struct.unpack(f"<{count}Q", value.to_bytes(8 * count, "little"))
+
+
 def keyed_color(key: int, n_exp: int, m_exp: int, row: int, col: int) -> int:
     """Color of cell (row, col) under the fixed keyed mixing function.
 
@@ -164,21 +169,17 @@ def keyed_color(key: int, n_exp: int, m_exp: int, row: int, col: int) -> int:
     each absorption is ``scramble((h ^ word) + GAMMA)``.  The color is the
     low m_exp bits of the state's output stream (64-bit outputs
     ``stream_value(h, t)`` concatenated low-word-first).
+
+    The cost is linear in n_exp + m_exp: the row and column are split into
+    words once, and the output words are joined once.
     """
     words = (n_exp + 63) // 64
-    h = _absorb(0, key & MASK64)
-    h = _absorb(h, n_exp)
-    h = _absorb(h, m_exp)
-    for t in range(words):
-        h = _absorb(h, (row >> (64 * t)) & MASK64)
-    h = _absorb(h, key >> 64)
-    for t in range(words):
-        h = _absorb(h, (col >> (64 * t)) & MASK64)
+    h = _keyed_state_through_key(key, n_exp, m_exp)
+    for word in _words(row, words) + (key >> 64,) + _words(col, words):
+        h = _absorb(h, word)
     out_words = (m_exp + 63) // 64
-    color = 0
-    for t in range(out_words):
-        color |= stream_value(h, t) << (64 * t)
-    return color & ((1 << m_exp) - 1)
+    color = struct.pack(f"<{out_words}Q", *(stream_value(h, t) for t in range(out_words)))
+    return int.from_bytes(color, "little") & ((1 << m_exp) - 1)
 
 
 def _keyed_state_through_key(key: int, n_exp: int, m_exp: int) -> int:

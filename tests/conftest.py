@@ -1,7 +1,9 @@
 """Shared test helpers: structured balanced micro tables, the naive
 all-colorset balance oracle, scalar per-rectangle check oracles, a scalar
-partial Fisher-Yates, a dict-based oracle for the MatchCompressor parse
-and a one-trial-at-a-time oracle for planted experiments."""
+partial Fisher-Yates, a dict-based oracle for the MatchCompressor parse,
+a one-trial-at-a-time oracle for planted experiments and a per-word
+oracle for the keyed mixing function.  Every test starts and ends with an
+empty table cache."""
 
 from collections import Counter
 from fractions import Fraction
@@ -10,8 +12,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from balext import extract
 from balext.core import BitString, TableParams, ceil_log2
-from balext.mixing import bounded, stream_value
+from balext.mixing import GAMMA, MASK64, bounded, scramble, stream_value
 from balext.sources import PlantedPairSpec, TrialRow, dep_estimate, gen_planted_pair
 from balext.tables import BACKEND_RANDOM, BalancedTable
 
@@ -227,6 +230,37 @@ def experiment_chunk_oracle(spec, table, m_exp, estimator, start, count):
         dep_hat = dep_estimate(x, y, estimator)
         rows.append(TrialRow(t, t_seed, spec.shared_bits, dep_hat, format(z, f"0{hexw}x")))
     return rows, outs
+
+
+def keyed_color_oracle(key: int, n_exp: int, m_exp: int, row: int, col: int) -> int:
+    """``tables.keyed_color`` one word at a time: each absorbed word is
+    shifted out of the row or column, and each output word is or-ed in."""
+
+    def absorb(h, word):
+        return scramble(((h ^ word) + GAMMA) & MASK64)
+
+    words = (n_exp + 63) // 64
+    h = absorb(0, key & MASK64)
+    h = absorb(h, n_exp)
+    h = absorb(h, m_exp)
+    for t in range(words):
+        h = absorb(h, (row >> (64 * t)) & MASK64)
+    h = absorb(h, key >> 64)
+    for t in range(words):
+        h = absorb(h, (col >> (64 * t)) & MASK64)
+    color = 0
+    for t in range((m_exp + 63) // 64):
+        color |= stream_value(h, t) << (64 * t)
+    return color & ((1 << m_exp) - 1)
+
+
+@pytest.fixture(autouse=True)
+def _empty_table_cache():
+    """No test sees a table that an earlier test put in the process-wide
+    cache, so a monkeypatched builder is always the one that runs."""
+    extract._table_cache.clear()
+    yield
+    extract._table_cache.clear()
 
 
 @pytest.fixture

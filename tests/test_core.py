@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -195,6 +196,17 @@ class TestSeqSchedule:
                 tp = b.table_params()
                 assert tp.d_exp == tp.m_exp == b.m_bits
                 assert tp.s_exp <= tp.n_exp
+
+    @pytest.mark.parametrize("tau", [F(1, 2), F(1), F(3, 7), F(99, 100)])
+    @pytest.mark.parametrize("base", [2, 3, 12])
+    def test_integer_blocks_equal_fraction_formula(self, tau, base):
+        # m_i = floor(0.97 tau n_i), s_i = ceil(0.98 tau n_i), in Fractions
+        s = derive_seq_schedule(tau, F(1, 2), base, 64)
+        expected = [(base**i, math.floor(F(97, 100) * tau * base**i),
+                     math.ceil(F(98, 100) * tau * base**i)) for i in range(1, 65)]
+        assert [(b.n_bits, b.m_bits, b.s_exp) for b in s.blocks] == expected
+        assert all(b.d_exp == b.m_bits for b in s.blocks)
+        assert [b.index for b in s.blocks] == list(range(1, 65))
 
     def test_preconditions(self):
         with pytest.raises(InvalidParams):

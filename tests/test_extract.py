@@ -134,6 +134,17 @@ class TestPolicy:
         t = table_for(TableParams(1, 1, 1, 1), policy)
         assert t.backend_name == "canonical"
 
+    def test_only_tables_with_cells_are_cached(self):
+        keyed = TablePolicy(kind="keyed", seed=4)
+        params = TableParams(64, 58, 32, 58)
+        assert table_for(params, keyed) is not table_for(params, keyed)
+        assert extract._table_cache == {}
+        assert extract.cached_table(params, keyed) is None
+        small = TableParams(4, 2, 2, 2)
+        assert extract.cached_table(small, TablePolicy(seed=4)) is None
+        table = table_for(small, TablePolicy(seed=4))
+        assert extract.cached_table(small, TablePolicy(seed=4)) is table
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidParams):
             table_for(TableParams(1, 1, 1, 1), TablePolicy(kind="quantum"))

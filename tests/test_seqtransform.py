@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from balext import seqtransform
+from balext import extract, seqtransform
 
 from balext.core import BitString, InvalidParams, OutOfRange, derive_seq_schedule
 from balext.extract import TablePolicy
@@ -22,7 +22,7 @@ from balext.seqtransform import (
     transform_prefix,
 )
 from balext.mixing import stream_bits, stream_value
-from balext.tables import BACKEND_RANDOM, BalancedTable
+from balext.tables import BACKEND_RANDOM, BalancedTable, random_table
 from balext.verify import verify_prefix_balance
 
 GOLDEN_TRANSFORM_11 = "00101101000"  # tau=1/2 delta=1/2 B=2, x=seed101, y=seed202, tables seed 3
@@ -251,6 +251,88 @@ class TestBlockTables:
         pol = TablePolicy(seed=3, allow_keyed_fallback=False)
         with pytest.raises(BlockTooLarge):
             block_table(sched, 4, pol)
+        tr = SequenceTransformer(SeededBitStream(1), SeededBitStream(2), sched, pol)
+        assert tr.transform_prefix(4) == transform_prefix(
+            SeededBitStream(1), SeededBitStream(2), sched, 4, TablePolicy(seed=3))
+        with pytest.raises(BlockTooLarge):
+            tr.transform_prefix(5)           # bit 4 lies in block 4, n = 16 > cap
+
+    def test_blocks_share_one_table_cache(self, monkeypatch):
+        # the explicit blocks 2 and 3 are built once, by the first transform;
+        # fresh transformers with the same seed then only hit the cache
+        sched = b2_schedule(15)
+        pol = TablePolicy(seed=9)
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return random_table(*args, **kwargs)
+
+        monkeypatch.setattr(extract, "random_table", counting)
+        x, y = SeededBitStream(101), SeededBitStream(202)
+        layout = BlockLayout.from_schedule(sched)
+        z = SequenceTransformer(x, y, sched, pol).transform_prefix(layout.total_output_bits)
+        assert [p.n_exp for p in built] == [4, 8]
+        built.clear()
+        for i in range(2, 13):
+            start, end = layout.output_range(i)
+            for pos in (start, end - 1):
+                tr = SequenceTransformer(SeededBitStream(101), SeededBitStream(202),
+                                         sched, pol)
+                assert tr.output_bit(pos) == z.bit(pos)
+        assert built == []
+
+    def test_failing_block_warns_once_per_built_table(self, caplog, monkeypatch):
+        sched = derive_seq_schedule(F(1), F(1, 2), 2, 3)   # blocks 1-3 explicit
+        pol = TablePolicy(seed=5)
+
+        def constant(params, seed, explicit_cap):
+            cells = np.zeros((params.n_side, params.n_side), dtype=np.uint8)
+            cells.setflags(write=False)
+            return BalancedTable(params, BACKEND_RANDOM, seed, cells)
+
+        monkeypatch.setattr(extract, "random_table", constant)
+
+        def run():
+            SequenceTransformer(SeededBitStream(1), SeededBitStream(2), sched,
+                                pol).transform_prefix(3)    # block 2 holds bits 1-3
+            SequenceTransformer(SeededBitStream(3), SeededBitStream(4), sched,
+                                pol).output_bit(2)
+
+        # a constant block 1 (M = 2, every cell color 0) meets the prefix
+        # bound exactly; a constant block 2 (M = 8) fails it
+        with caplog.at_level(logging.WARNING, logger="balext.seqtransform"):
+            run()
+            run()                                     # cache hits warn no more
+            assert [m.split(" explicit")[0] for m in caplog.messages] == ["block 2"]
+            extract._table_cache.clear()
+            run()
+        assert [m.split(" explicit")[0] for m in caplog.messages] == ["block 2"] * 2
+
+    def test_table_evicted_after_the_peek_is_checked(self, caplog, monkeypatch):
+        # another thread may evict block 2 between block_table's peek and its
+        # table_for call; the rebuilt table is a new one and is checked
+        sched = derive_seq_schedule(F(1), F(1, 2), 2, 3)
+        pol = TablePolicy(seed=5)
+
+        def constant(params, seed, explicit_cap):
+            cells = np.zeros((params.n_side, params.n_side), dtype=np.uint8)
+            cells.setflags(write=False)
+            return BalancedTable(params, BACKEND_RANDOM, seed, cells)
+
+        monkeypatch.setattr(extract, "random_table", constant)
+        block_table(sched, 2, pol, verify_samples=0)
+        peek = extract.cached_table
+
+        def peek_then_evict(params, policy):
+            table = peek(params, policy)
+            extract._table_cache.clear()
+            return table
+
+        monkeypatch.setattr(seqtransform, "cached_table", peek_then_evict)
+        with caplog.at_level(logging.WARNING, logger="balext.seqtransform"):
+            block_table(sched, 2, pol)
+        assert [m.split(" explicit")[0] for m in caplog.messages] == ["block 2"]
 
     def test_construction_warning_on_unbalanced_block(self, caplog):
         # tiny blocks pass vacuously; force a warning via an adversarial cap
@@ -288,7 +370,10 @@ class TestBlockTables:
                           constant(params, 0, 12)):
                 one, sixteen = checks(table, i)
                 assert (one.passed, one.worst_ratio) == (sixteen.passed, sixteen.worst_ratio)
-        monkeypatch.setattr(seqtransform, "random_table", constant)
+        # the block 2 table built above is cached; start from an empty
+        # cache so that table_for builds block 2 with the patched builder
+        monkeypatch.setattr(extract, "_table_cache", {})
+        monkeypatch.setattr(extract, "random_table", constant)
         with caplog.at_level(logging.WARNING, logger="balext.seqtransform"):
             table = block_table(sched, 2, pol)
         _, sixteen = checks(table, 2)

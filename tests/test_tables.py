@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import keyed_color_oracle
+
 from balext.core import InvalidParams, NotFound, OutOfRange, TableParams, TooLarge
 from balext.mixing import stream_block_np, stream_value
 from balext import tables
@@ -218,6 +220,20 @@ class TestKeyedTable:
     def test_key_range(self):
         with pytest.raises(InvalidParams):
             keyed_table(TableParams(4, 2, 2, 1), key=1 << 128)
+
+    @pytest.mark.parametrize("n_exp", [1, 63, 64, 65, 128, 4096, 32768])
+    @pytest.mark.parametrize("m_exp", [1, 63, 64, 65, 15892])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_word_oracle(self, n_exp, m_exp, data):
+        top = (1 << n_exp) - 1
+        side = st.sampled_from([0, top]) | st.integers(0, top)
+        key = data.draw(st.integers(0, (1 << 128) - 1), label="key")
+        row = data.draw(side, label="row")
+        col = data.draw(side, label="col")
+        for r, c in ((row, col), (0, top), (top, 0)):
+            assert keyed_color(key, n_exp, m_exp, r, c) == keyed_color_oracle(
+                key, n_exp, m_exp, r, c)
 
 
 class TestCanonicalTable:
