@@ -17,6 +17,8 @@ Usage: python scripts/calibrate_thresholds.py [--seeds 1000] [--n 1024] [--out P
 Reproducibility check (the committed JSON must come back byte for byte):
 
     python scripts/calibrate_thresholds.py --out /tmp/t.json && cmp /tmp/t.json calibration/thresholds.json
+
+tests/test_sources.py runs the same check with the defaults.
 """
 
 import argparse
@@ -32,7 +34,7 @@ from balext.mixing import stream_bits, substream  # noqa: E402
 from balext.sources import MatchCompressor, dep_estimate  # noqa: E402
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=1000)
     ap.add_argument("--n", type=int, default=1024)
@@ -40,7 +42,7 @@ def main() -> int:
         "--out",
         default=str(Path(__file__).resolve().parents[1] / "calibration" / "thresholds.json"),
     )
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     est = MatchCompressor()
     deps = []

@@ -21,7 +21,6 @@ from .seqtransform import (
     BitStream,
     BitStringStream,
     BlockLayout,
-    BlockTooLarge,
     CountingBitStream,
     SeededBitStream,
     SequenceTransformer,

@@ -48,7 +48,6 @@ class TablePolicy:
     key: int | None = None        # keyed backend; derived from seed when None
     explicit_cap: int = EXPLICIT_N_EXP_CAP
     micro_cap: int = MICRO_DESCRIPTION_CAP
-    allow_keyed_fallback: bool = True
 
     def effective_key(self) -> int:
         return self.key if self.key is not None else key_from_seed(self.seed)
@@ -129,9 +128,14 @@ def _cached_cell_bytes() -> int:
     return sum(t.cells.nbytes for t in _table_cache.values())
 
 
-def _lookup_bits(table: BalancedTable, x: BitString, y: BitString) -> BitString:
-    color = table.lookup(x.value, y.value)
-    return BitString(color, table.params.m_exp)
+def _extract(x: BitString, y: BitString, derive, policy: TablePolicy) -> BitString:
+    """The color at (row x, column y) of the policy's table for the
+    parameters ``derive(n)`` gives at the common input length n."""
+    if len(x) != len(y):
+        raise InvalidParams(f"input lengths differ: {len(x)} != {len(y)}")
+    params = derive(len(x))
+    table = table_for(params.table_params(), policy)
+    return BitString(table.lookup(x.value, y.value), params.m_exp)
 
 
 def extract_string(
@@ -147,11 +151,8 @@ def extract_string(
     complexity guarantee still extract (the derivation flags them as
     guarantee-degenerate), but shapes with no output bits are rejected.
     """
-    if len(x) != len(y):
-        raise InvalidParams(f"input lengths differ: {len(x)} != {len(y)}")
-    params = derive_string_params(len(x), sigma, alpha, strict=False)
-    table = table_for(params.table_params(), policy)
-    return _lookup_bits(table, x, y)
+    return _extract(x, y, lambda n: derive_string_params(n, sigma, alpha, strict=False),
+                    policy)
 
 
 def extract_conditional(
@@ -162,8 +163,4 @@ def extract_conditional(
     policy: TablePolicy = TablePolicy(),
 ) -> BitString:
     """Conditional extraction (D = M parameterization)."""
-    if len(x) != len(y):
-        raise InvalidParams(f"input lengths differ: {len(x)} != {len(y)}")
-    params = derive_cond_params(len(x), s_of_n, alpha_of_n)
-    table = table_for(params.table_params(), policy)
-    return _lookup_bits(table, x, y)
+    return _extract(x, y, lambda n: derive_cond_params(n, s_of_n, alpha_of_n), policy)

@@ -18,7 +18,7 @@ Per-block tables are reproducible: block i's seed is output i of the
 master seed's stream.  Every block table comes from ``extract.table_for``
 with that seed: blocks that fit the explicit cap get explicit random
 tables (sampled-verified when built, logging a warning on failure), larger
-blocks fall back to the keyed backend unless the policy forbids it.
+blocks get keyed tables.
 """
 
 from __future__ import annotations
@@ -28,16 +28,12 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Protocol, runtime_checkable
 
-from .core import BitString, InvalidParams, OutOfRange, SeqSchedule, TooLarge
+from .core import BitString, InvalidParams, OutOfRange, SeqSchedule
 from .extract import TablePolicy, cached_table, table_for
 from .mixing import stream_bits, stream_value
 from .tables import BalancedTable
 
 logger = logging.getLogger(__name__)
-
-
-class BlockTooLarge(TooLarge):
-    """A block needs a table beyond the explicit cap and keyed fallback is off."""
 
 
 @runtime_checkable
@@ -190,7 +186,7 @@ def block_table(
     """Block i's table, from :func:`table_for` under the policy with block
     i's seed, so the process-wide table cache serves every transformer and
     every block.  A block that fits the explicit cap gets an explicit
-    random table, a larger one a keyed table unless the policy forbids it.
+    random table, a larger one a keyed table.
 
     An explicit table is checked with ``verify_samples`` sampled
     rectangles when ``table_for`` builds it, not when the cache returns it,
@@ -201,11 +197,6 @@ def block_table(
     seed = block_seed(policy.seed, i)
     block_policy = replace(policy, kind="auto", seed=seed, key=None)
     if not policy.fits_explicit(params):
-        if not policy.allow_keyed_fallback:
-            raise BlockTooLarge(
-                f"block {i} needs n_exp = {params.n_exp} > cap {policy.explicit_cap} "
-                "and keyed fallback is disabled"
-            )
         return table_for(params, block_policy)
     cached = cached_table(params, block_policy)
     table = table_for(params, block_policy)

@@ -6,11 +6,12 @@ y = r2 || shared || 0-pad whose dependency is |shared| by construction,
 giving every experiment a ground-truth axis next to the noisy estimate.
 
 The built-in complexity surrogate is a bit-level greedy parser with an
-unbounded previous-occurrence window (see :class:`MatchCompressor` for the
-exact token costs).  It is self-contained and platform independent; the
-thresholds THETA_INDEP / THETA_SYM below were fixed once by the committed
-calibration campaign (scripts/calibrate_thresholds.py) and are not tuned
-to any test.
+unbounded previous-occurrence window, whose match decisions for all
+positions come from one numpy sort (see :class:`MatchCompressor` for the
+exact token costs and the parse).  It is self-contained and platform
+independent; the thresholds THETA_INDEP / THETA_SYM below were fixed once
+by the committed calibration campaign (scripts/calibrate_thresholds.py)
+and are not tuned to any test.
 
 Collision entropy is the primary output metric: the plug-in min-entropy
 estimator is badly biased at desk-scale sample counts, while the collision
@@ -138,6 +139,149 @@ class ComplexityEstimator(Protocol):
 
 _MEMO_MAX = 1 << 16   # costs remembered per MatchCompressor
 _LITERAL_ONLY_MAX = 25   # no match pays in a shorter input (MatchCompressor)
+_KEY_BITS = 64   # width of the packed sort keys (MatchCompressor)
+_SCAN_MAX = 16   # candidates scanned at a take without a numpy filter first
+_BYTE_SHIFTS = np.arange(8, dtype=np.uint64)
+_LAYOUT_CACHE_MAX_N = 1 << 14   # longer inputs build their parse layout per call
+
+
+def _take_tests(offs: int) -> tuple[tuple[int, int], ...]:
+    """(L, weight) pairs for the match positions whose offset costs
+    ``offs`` bits: a match of length l pays, l > 9 and l > 2 *
+    l.bit_length() + offs, iff the weights of the pairs with L <= l sum to
+    more than 0.
+
+    l - 2 * l.bit_length() grows with l except for a drop of 1 at each
+    power of two, so the lengths that pay are l >= L0 minus at most the one
+    power of two L with L - 1 >= L0 that falls back to offs; that L gets
+    weight -1 and L + 1 weight +1.  No drop at or beyond 2 * L0 reaches
+    back to offs, since l - L0 outgrows twice the rise of the bit length.
+    """
+    def pays(length: int) -> bool:
+        return length > 9 and length > 2 * length.bit_length() + offs
+
+    first = next(length for length in itertools.count(10) if pays(length))
+    tests = [(first, 1)]
+    for length in range(first + 1, 2 * first):
+        if not pays(length):
+            tests += [(length, -1), (length + 1, 1)]
+    return tuple(tests)
+
+
+@dataclass(frozen=True)
+class _ParseLayout:
+    """The match tests for inputs of n bits.  Test j asks "l(i) >= L" at
+    the positions i of one offs group, and sorts the keys (test j, L-bit
+    window at p, p) for p = 0..hi, key positions start[j]..start[j] + hi.
+    Sorting keeps each test's keys at its own positions, so every per-key
+    array below holds for the sorted keys too."""
+
+    hi: tuple[int, ...]
+    start: tuple[int, ...]
+    base: tuple[int, ...]   # offs b -> the test of group b's smallest L
+    pos: np.ndarray         # p
+    shift: np.ndarray       # packed: window >> shift, low p_bits cleared, is
+    low: np.ndarray         # the L-bit window << p_bits; or j << (Lmax + p_bits) | p
+    key_L: np.ndarray       # l(i) >= L passes at i iff its run's first p <= i - L
+    key_lo: np.ndarray      # and i >= lo, the first position of the group
+    key_start: np.ndarray
+    key_weight: np.ndarray  # take(i) iff the passed tests' weights sum to > 0
+    p_bits: int
+    packed: bool            # one _KEY_BITS integer holds (j, window, p)
+
+
+def _parse_layout(n: int) -> _ParseLayout:
+    return _cached_layout(n) if n <= _LAYOUT_CACHE_MAX_N else _build_layout(n)
+
+
+def _build_layout(n: int) -> _ParseLayout:
+    tests = []   # (L, weight, lo, hi)
+    base = [0]
+    b = 1
+    while (lo := 0 if b == 1 else (1 << (b - 1)) + 1) < n:
+        base.append(len(tests))
+        for length, weight in _take_tests(b):
+            # l(i) <= i and l(i) <= n - i, so only i in [L, n - L] can pass
+            hi = min(1 << b, n - length)
+            if hi >= max(lo, length):
+                tests.append((length, weight, lo, hi))
+        b += 1
+    L, weight, lo, hi = (np.array(col, dtype=np.int64) for col in zip(*tests))
+    start = np.concatenate(([0], np.cumsum(hi + 1)[:-1]))
+    test = np.repeat(np.arange(len(tests)), hi + 1)
+    pos = np.arange(int(hi.sum()) + len(tests)) - start[test]
+    p_bits = int(hi.max()).bit_length()
+    top = int(L.max()) + p_bits
+    packed = top + (len(tests) - 1).bit_length() <= _KEY_BITS
+    shift = (64 - p_bits - L[test]).clip(0).astype(np.uint64)
+    low = (test.astype(np.uint64) << np.uint64(top if packed else 0)) | pos.astype(np.uint64)
+    per_key = [pos, shift, low, L[test], lo[test], start[test], weight[test].astype(np.float64)]
+    for a in per_key:
+        a.flags.writeable = False   # shared by every parse of this length
+    return _ParseLayout(tuple(hi.tolist()), tuple(start.tolist()), tuple(base), *per_key,
+                        p_bits, packed)
+
+
+_cached_layout = functools.lru_cache(maxsize=8)(_build_layout)
+
+
+def _windows(s: BitString) -> np.ndarray:
+    """W[p] = bits p..p+63 of s as a uint64, most significant first, read
+    as zeros past the end."""
+    n = len(s)
+    nbytes = (n + 7) // 8
+    buf = s.to_bytes() + bytes(8)
+    # the big-endian word at every byte offset q, and byte q + 8
+    words = np.ndarray((nbytes,), ">u8", buf, strides=(1,)).astype(np.uint64)
+    after = np.frombuffer(buf, np.uint8, nbytes, 8).astype(np.uint64)
+    w = words[:, None] << _BYTE_SHIFTS
+    w |= after[:, None] >> (8 - _BYTE_SHIFTS)
+    return w.ravel()[:n]
+
+
+def _sorted_runs(w: np.ndarray, lay: _ParseLayout) -> tuple[np.ndarray, np.ndarray]:
+    """(p, new) of every test's keys in sorted order: p, and whether the key
+    starts a run of equal (test, window)."""
+    p_mask = np.uint64((1 << lay.p_bits) - 1)
+    if lay.packed:
+        keys = w[lay.pos]
+        keys >>= lay.shift
+        keys &= ~p_mask
+        keys |= lay.low
+        keys.sort()
+        group = keys >> np.uint64(lay.p_bits)
+        new = np.empty(len(keys), dtype=bool)
+        new[0] = True
+        np.not_equal(group[1:], group[:-1], out=new[1:])
+        return (keys & p_mask).view(np.int64), new
+    # one stable sort by window per test: p stays ascending in each run
+    ps, news = [], []
+    for hi, start in zip(lay.hi, lay.start):
+        win = w[:hi + 1] >> np.uint64(64 - int(lay.key_L[start]))
+        order = np.argsort(win, kind="stable")
+        win = win[order]
+        ps.append(order)
+        news.append(np.concatenate(([True], win[1:] != win[:-1])))
+    return np.concatenate(ps).astype(np.int64), np.concatenate(news)
+
+
+def _longest_match(word, t: int, cap: int, qs: list[int], best: int) -> int:
+    """The longest min(lcp(q, t), t - q, cap) over best and the ascending
+    candidates qs, where word(p) is the 64-bit window at p."""
+    for q in qs:
+        lim = min(t - q, cap)
+        if lim <= best:
+            break     # every later q is closer to t
+        m = 0
+        while m < lim:
+            x = word(q + m) ^ word(t + m)
+            if x:
+                m += 64 - x.bit_length()
+                break
+            m += 64
+        if m > best:
+            best = min(m, lim)
+    return best
 
 
 class MatchCompressor:
@@ -156,20 +300,43 @@ class MatchCompressor:
     where gamma(L) = 2*floor(log2 L) + 1 (Elias gamma) and offs(i) =
     max(1, ceil(log2 i)) encodes a match start within the emitted text.
     The estimate is the total token cost; the empty string costs 1 (an
-    empty-stream marker).
+    empty-stream marker).  The reference parse, one bit at a time on a
+    suffix automaton, is ``tests/conftest.py::match_cost_oracle``.
 
-    The parse runs in O(n) time.  It grows a suffix automaton of the
-    emitted text one bit at a time and keeps the current match s[i:j] with
-    its state between positions (matching statistics):
+    The match length l(i) at i, the longest prefix of s[i:] that occurs
+    inside s[:i], depends on s alone, not on the parse so far.  So whether
+    the parse would take a match at i, the take map, is computed for every
+    i at once in numpy, and the parse loop visits only the matches, adding
+    the literal runs between them in closed form:
 
-    * after a literal at i, the match becomes s[i+1:j], which is in the same
-      state or, when L - 1 equals the parent's longest length, in the
-      suffix-link parent; if emitting bit i then clones that state and
-      s[i+1:j] is no longer than the clone, it moves to the clone;
-    * after a taken match, the walk restarts at the root with j = i.
+    * For a fixed L, "l(i) >= L" holds iff the first occurrence of the
+      L-bit window at i starts at or before i - L.  The take rule is
+      l > 9 and l - 2 * l.bit_length() > offs(i), and offs(i) = b for i in
+      (2^(b-1), 2^b], so group b needs the test at its threshold length
+      L0(b).  Because l - 2 * l.bit_length() drops by 1 at each power of
+      two, a match of 16 at offs 6 does not pay though 15 and 17 do, and
+      likewise 32 at offs 20; those two groups also test 2^k and 2^k + 1
+      (see :func:`_take_tests`).
+    * The keys (test, top L bits of the 64-bit window at p, p) of every
+      test, for p up to the group's last position, go through one plain
+      ``np.sort``; p in the low bits makes every key unique, so no stable
+      sort is needed.  The first p of each run of equal (test, window),
+      against i - L, gives the test at every i of the group.  Where a key
+      would not fit in 64 bits (n beyond about 2^23) each test is sorted
+      on its own, stably by window.
+    * At a take t the parse needs l(t) exactly; the first occurrence alone
+      does not give it, since the longest match may start later.  The
+      candidates are t's run in the test of its group's smallest L,
+      visited from the farthest p on, until t - p, the most a closer one
+      can match, is no more than the best so far.  Each is compared one
+      64-bit window at a time as Python ints.  A run longer than
+      ``_SCAN_MAX`` is first cut in numpy to the candidates that agree
+      with t on the 64 bits that end at the best length so far, as any
+      candidate that beats it must; long zero runs give such runs.
 
-    The walk only ever reads forward from j, so it makes O(n) steps in all,
-    and extending the automaton costs amortized O(1) per bit.
+    The map costs O(n log n) in numpy on about 2n keys; the loop costs a
+    few µs per take.  Windows are 64 bits, enough for every threshold up
+    to offs 49, i.e. inputs up to 2^49 bits.
 
     Inputs of 1 to 25 bits cost n + 2 * n.bit_length(), one literal run,
     without a parse.  A match at i of length L lies in s[:i] and in s[i:],
@@ -203,86 +370,53 @@ class MatchCompressor:
         n = len(s)
         if n <= _LITERAL_ONLY_MAX:
             return n + 2 * n.bit_length() if n else 1
-        bits = bytes(s) + b"\x02"   # one byte 0/1 per position, then an end mark
-        # Online suffix automaton of s[:i] over the bits {0, 1}: go[c][state]
-        # is the state reached by bit c (-1: none), plus suffix links and
-        # longest lengths.  At most 2n - 1 states ever exist, so the last
-        # slot is free: the root's link -1 indexes it, and its transitions
-        # of 0 stop the link walks there.  go[2] lets no walk pass the end.
-        size = 2 * n + 1
-        go0, go1 = [-1] * size, [-1] * size
-        go0[-1] = go1[-1] = 0
-        go = (go0, go1, [-1] * size)
-        link, length = [-1] * size, [0] * size
-        states = 1
-        last = 0
+        lay = _parse_layout(n)
+        w = _windows(s)
+        p, new = _sorted_runs(w, lay)
+        idx = np.arange(len(p))
+        run_first = idx * new
+        np.maximum.accumulate(run_first, out=run_first)
+        least = p[run_first]
+        least += lay.key_L
+        np.maximum(least, lay.key_lo, out=least)
+        score = np.bincount(p, weights=(p >= least) * lay.key_weight, minlength=n)
+        takes = (score > 0).tobytes()   # one byte per position: 1 at a take
+
         cost = 0
-        lit_run = 0
-        # At a parse position i, s[i:j] is the longest prefix of s[i:] that
-        # occurs in s[:i] and node is its state; the parse emits bits up to
-        # ``end``.  Neither j nor end ever moves back.
-        node = 0
-        j = end = 0
-        for i in range(n):
-            if i == end:
-                while True:
-                    nxt = go[bits[j]][node]
-                    if nxt < 0:
+        pos = 0     # the parse has emitted s[:pos]
+        t = takes.find(1)
+        if t >= 0:
+            at_of = np.empty(len(p), dtype=np.intp)   # sorted index of (test, p)
+            at_of[lay.key_start + p] = idx
+            word = w.item
+            while t >= 0:
+                offs = (t - 1).bit_length() or 1
+                at = at_of.item(lay.start[lay.base[offs]] + t)
+                a = run_first.item(at)
+                cap = n - t
+                best = 0
+                rest = p[a:at]
+                while len(rest) > _SCAN_MAX:
+                    best = _longest_match(word, t, cap, [rest.item(0)], best)
+                    # a later candidate q beats best only if q < t - best and
+                    # it agrees with t on bits 0..best, so on the last 64
+                    rest = rest[1:np.searchsorted(rest, t - best if best < cap else 0)]
+                    if len(rest) <= _SCAN_MAX:
                         break
-                    node = nxt
-                    j += 1
-                match_len = j - i
-                # 1 + gamma(L) = 2 * L.bit_length() and offs(i) =
-                # (i - 1).bit_length() or 1, so a match of 9 bits or fewer
-                # never costs less than its literal bits
-                if match_len > 9 and match_len > (
-                        token := 2 * match_len.bit_length() + ((i - 1).bit_length() or 1)):
-                    if lit_run:
-                        cost += 2 * lit_run.bit_length() + lit_run
-                        lit_run = 0
-                    cost += token
-                    end = j
-                    node = 0   # restart at the root, which is never cloned
-                else:
-                    lit_run += 1
-                    end = i + 1
-                    if j == i:
-                        j = end
-                    elif match_len - 1 <= length[link[node]]:
-                        node = link[node]   # s[i+1:j] is in the parent state
-                keep = j - end    # length of the match that node carries on
-            # extend the automaton by bit i
-            go_c = go[bits[i]]
-            cur = states
-            states += 1
-            length[cur] = length[last] + 1
-            p = last
-            while go_c[p] < 0:
-                go_c[p] = cur
-                p = link[p]
-            if p < 0:
-                link[cur] = 0
-            else:
-                q = go_c[p]
-                if length[p] + 1 == length[q]:
-                    link[cur] = q
-                else:
-                    clone = states
-                    states += 1
-                    length[clone] = length[p] + 1
-                    link[clone] = link[q]
-                    go0[clone] = go0[q]
-                    go1[clone] = go1[q]
-                    while go_c[p] == q:
-                        go_c[p] = clone
-                        p = link[p]
-                    link[q] = clone
-                    link[cur] = clone
-                    if node == q and keep <= length[clone]:
-                        node = clone   # the carried match moved to the clone
-            last = cur
-        if lit_run:
-            cost += 2 * lit_run.bit_length() + lit_run
+                    if best < 64:
+                        rest = rest[(w[rest] ^ w[t]) >> np.uint64(63 - best) == 0]
+                    else:
+                        rest = rest[w[rest + (best - 63)] == w[t + best - 63]]
+                best = _longest_match(word, t, cap, rest.tolist(), best)
+                if t > pos:
+                    lit = t - pos
+                    cost += 2 * lit.bit_length() + lit
+                cost += 2 * best.bit_length() + offs
+                pos = t + best
+                t = takes.find(1, pos)
+        if pos < n:
+            lit = n - pos
+            cost += 2 * lit.bit_length() + lit
         return cost
 
 

@@ -11,7 +11,6 @@ from balext.extract import TablePolicy
 from balext.seqtransform import (
     BitStringStream,
     BlockLayout,
-    BlockTooLarge,
     CountingBitStream,
     SeededBitStream,
     SequenceTransformer,
@@ -245,17 +244,6 @@ class TestBlockTables:
         assert block_table(sched, 2, pol, verify_samples=0).is_explicit
         assert block_table(sched, 3, pol, verify_samples=0).is_explicit
         assert not block_table(sched, 4, pol, verify_samples=0).is_explicit  # n=16 > cap 12
-
-    def test_block_too_large_when_keyed_forbidden(self):
-        sched = b2_schedule()
-        pol = TablePolicy(seed=3, allow_keyed_fallback=False)
-        with pytest.raises(BlockTooLarge):
-            block_table(sched, 4, pol)
-        tr = SequenceTransformer(SeededBitStream(1), SeededBitStream(2), sched, pol)
-        assert tr.transform_prefix(4) == transform_prefix(
-            SeededBitStream(1), SeededBitStream(2), sched, 4, TablePolicy(seed=3))
-        with pytest.raises(BlockTooLarge):
-            tr.transform_prefix(5)           # bit 4 lies in block 4, n = 16 > cap
 
     def test_blocks_share_one_table_cache(self, monkeypatch):
         # the explicit blocks 2 and 3 are built once, by the first transform;

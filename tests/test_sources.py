@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import sys
 import threading
 import zlib
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,92 @@ class TestMatchCompressor:
             s = _sparse_bitstring(seed, 26 + 3 * seed)
             assert est.cost_bits(s) == match_cost_oracle(s), seed
 
+    def test_take_tests_reproduce_the_take_rule(self):
+        # l - 2 * l.bit_length() drops at each power of two, so offs 6 and
+        # 20 take 15 and 17 but not 16, and 31 and 33 but not 32
+        for offs in range(1, 41):
+            tests = sources._take_tests(offs)
+            for length in range(1, 257):
+                taken = sum(w for t, w in tests if length >= t) > 0
+                pays = length > 9 and length > 2 * length.bit_length() + offs
+                assert taken == pays, (offs, length)
+        assert sources._take_tests(6) == ((15, 1), (16, -1), (17, 1))
+        assert sources._take_tests(20) == ((31, 1), (32, -1), (33, 1))
+
+    @pytest.mark.parametrize("alpha", [F(0), F(1, 8), F(1, 4)])
+    def test_planted_n256_parses_match_oracle(self, alpha):
+        # the inputs of an n = 256 experiment: x, y and x || y per trial
+        est = MatchCompressor()
+        spec = PlantedPairSpec(256, F(1, 2), alpha, seed=11)
+        for t in range(12):
+            x, y = gen_planted_pair(spec, seed=stream_value(spec.seed, t))
+            for s in (x, y, x.concat(y)):
+                assert est.cost_bits(s) == match_cost_oracle(s), (t, s.to01())
+
+    def test_anchor_repeats_match_oracle(self):
+        # one fixed 30-bit block between fresh blocks: every take has a run
+        # of earlier anchors to choose from
+        est = MatchCompressor()
+        for seed in range(6):
+            anchor = random_bitstring(seed, 30, tag=9)
+            s = BitString.zeros(0)
+            for k in range(1 + seed * 9):
+                fresh = random_bitstring(1000 * seed + k, 10 + 11 * (seed % 3), tag=4)
+                s = s.concat(anchor).concat(fresh)
+            assert est.cost_bits(s) == match_cost_oracle(s), seed
+
+    def test_long_zero_runs_match_oracle(self):
+        # zero runs of tens to hundreds of bits put hundreds of candidates
+        # in one run, which the parse cuts down in numpy first
+        est = MatchCompressor()
+        for seed in range(8):
+            n = 700 + 300 * seed
+            v = random_bitstring(seed, n, tag=1).value
+            for tag in range(2, 3 + seed % 5):
+                v &= random_bitstring(seed, n, tag=tag).value
+            s = BitString(v, n)
+            assert est.cost_bits(s) == match_cost_oracle(s), seed
+
+    @pytest.mark.parametrize("zeros", [40, 100])
+    def test_candidate_one_bit_past_the_best_is_found(self, zeros):
+        # at the second zero run the farthest candidate matches `zeros`
+        # bits; the one whose run ends as t's does matches one bit more
+        # (the 1), and only it, among more than _SCAN_MAX candidates
+        est = MatchCompressor()
+        for seed in range(4):
+            a = random_bitstring(seed, 40, tag=5)
+            r = random_bitstring(seed, 40, tag=6)
+            if a.bit(0) == r.bit(0):
+                r = BitString(r.value ^ (1 << 39), 40)
+            s = BitString.from01("0" * 2 * zeros + "1" + a.to01() + "0" * zeros + "1" + r.to01())
+            assert est.cost_bits(s) == match_cost_oracle(s), seed
+
+    @pytest.mark.parametrize("n", [26, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097])
+    def test_word_boundary_lengths_match_oracle(self, n):
+        est = MatchCompressor()
+        half = random_bitstring(n, n // 2)
+        strings = [random_bitstring(n, n), BitString.zeros(n), _sparse_bitstring(n, n),
+                   half.concat(half).concat(BitString.zeros(n % 2)),
+                   _fibonacci_word(n), _thue_morse_word(n)]
+        for s in strings:
+            assert est.cost_bits(s) == match_cost_oracle(s), s.to01()
+
+    def test_one_sort_per_test_when_keys_do_not_fit(self, monkeypatch):
+        # inputs beyond about 2^23 bits sort each test on its own; forcing
+        # that path at small n must give the same costs
+        monkeypatch.setattr(sources, "_KEY_BITS", 0)
+        sources._cached_layout.cache_clear()
+        try:
+            est = MatchCompressor()
+            x = random_bitstring(3, 300)
+            strings = [x, x.concat(x), BitString.zeros(1000), _sparse_bitstring(2, 900),
+                       _thue_morse_word(700), _fibonacci_word(1024)]
+            for s in strings:
+                assert not sources._parse_layout(len(s)).packed
+                assert est.cost_bits(s) == match_cost_oracle(s), s.to01()
+        finally:
+            sources._cached_layout.cache_clear()
+
     def test_redundancy_detected(self):
         est = MatchCompressor()
         s = random_bitstring(2, 256)
@@ -246,6 +334,20 @@ class TestMatchCompressor:
             sys.setswitchinterval(old)
         assert not any(w.is_alive() for w in workers)
         assert problems == []
+
+
+def test_calibration_reproduces_committed_thresholds(tmp_path, capsys):
+    # the campaign's defaults (1000 seeds at n = 1024) must give back the
+    # committed JSON byte for byte
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "calibrate_thresholds", root / "scripts" / "calibrate_thresholds.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "thresholds.json"
+    assert script.main(["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (root / "calibration" / "thresholds.json").read_bytes()
 
 
 class TestExternalAdapter:
