@@ -5,27 +5,35 @@ S x S rectangles; for a fixed rectangle the worst A is the M/D most
 frequent colors, so each rectangle needs one histogram and a top-k sum
 (the dominant-subset check) instead of a C(M, M/D) enumeration.  Checking
 rectangles of side exactly S suffices: a larger rectangle's color fraction
-is the average of its S x S sub-rectangles' fractions.
+is the average of its S x S sub-rectangles' fractions.  The prefix rule
+(D = M, every color-prefix bucket) reduces to the single-color check, see
+:func:`_check_counts`.
 
-Every verifier ends in one core, :func:`_check_counts`: a (K, U) matrix
-holds the histograms of K rectangles over U ascending color labels, and
-the core finds, in exact integers, the worst numerator over 2 * area and
-the first violating row, whose offending colors :func:`_colorset` names.
-Only the final worst ratio becomes a ``Fraction``.
+Every verifier ends in one core, :func:`_check_counts`, on a color-major
+(U, K) count array: row u holds one of U ascending color labels, column k
+one of K rectangles, so each step across colors is one numpy operation
+over all K rectangles.  The top-k sum is a max (k = 1), a sum (k = U), a
+compare-exchange network over color rows (U <= 8) or a per-rectangle sort.
+The core finds, in exact integers, the worst numerator over 2 * area and
+the first violating rectangle, whose offending colors :func:`_colorset`
+names.  Only the final worst ratio becomes a ``Fraction``.
 
-Exhaustive mode fills the matrix for every pair of S-subsets, rows and
-columns in lexicographic order: each chunk of rectangles gathers its cells
-from the cached subset index arrays with two ``take`` calls and counts
-them with one ``bincount``, one row per rectangle, so memory is bounded
-per chunk, not with N * N * M.  Sampled mode draws seeded random
-rectangles chunk by chunk (rows and columns by a sparse partial
-Fisher-Yates, sample j from streams 2j and 2j+1 of the verification seed),
-gathers each one's cells with two ``take`` calls, or computes them for a
-keyed table, and writes its histogram as one row; when M > 2^20 it ranks
-the colors present with ``np.unique`` instead.  A chunk of samples holds
-its O(chunk x S) draws, its count matrix and its rectangles' cells, so
-memory grows with neither the sample count nor N.  Sampled mode is a
-Monte-Carlo relaxation with no certificate.
+Exhaustive mode covers every pair of S-subsets, rows and columns in
+lexicographic order, chunk by chunk.  Where the shape suits it, one
+``bincount`` first builds each table row's histogram over every column
+subset, and a chunk of row subsets sums its rows' histograms with one
+contiguous ``take`` per row; otherwise each chunk gathers its rectangles'
+cells with two ``take`` calls and counts them with one ``bincount``.
+Either way memory is bounded per chunk, not with N * N * M or with the
+number of subsets.  Sampled mode draws seeded random rectangles chunk by
+chunk (rows and columns by a sparse partial Fisher-Yates, sample j from
+streams 2j and 2j+1 of the verification seed), gathers each one's cells
+with two ``take`` calls, or computes them for a keyed table, and counts
+them into one row of a rectangle-major array that the core reads
+transposed; when M > 2^20 it ranks the colors present with ``np.unique``
+instead.  A chunk of samples holds its O(chunk x S) draws, its count array
+and its rectangles' cells, so memory grows with neither the sample count
+nor N.  Sampled mode is a Monte-Carlo relaxation with no certificate.
 
 Reports are reproducible: the witness is the first violating rectangle in
 enumeration/sample order and the worst ratio is a max over checked
@@ -37,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -50,7 +58,9 @@ from .mixing import GAMMA, MASK64, partial_shuffle_batch, scramble_np
 from .tables import EXPLICIT_N_EXP_CAP, BalancedTable, keyed_colors_grid
 
 DEFAULT_ENUM_CAP = 10**8
-_CHUNK = 1 << 14             # entries of a chunk's gathered cells, count matrix or draws
+_CHUNK = 1 << 14             # entries of a chunk's gathered cells, count array or draws
+_NETWORK_COLORS = 8          # up to this many colors, a dominant check sorts by network
+_ROW_COST = 8                # reads per gathered and counted cell, see _enumeration
 _DENSE_COLORS = 1 << 20      # above this many colors, sampled mode ranks colors
 # a sampled rectangle holds at most as many cells as the largest explicit table
 _MAX_AREA = 1 << 2 * EXPLICIT_N_EXP_CAP
@@ -78,8 +88,17 @@ class VerificationReport:
     check_s_exp: int
     check_d_exp: int
     prefix_mode: bool
-    table_params: TableParams
-    table_digest: str
+    table: BalancedTable = field(repr=False)
+
+    @property
+    def table_params(self) -> TableParams:
+        return self.table.params
+
+    @property
+    def table_digest(self) -> str:
+        """The checked table's digest, hashed when first read, so that a
+        caller that reads only the verdict never hashes every cell."""
+        return self.table.digest()
 
     def to_json_dict(self) -> dict:
         w = None
@@ -126,7 +145,7 @@ class _Rule(NamedTuple):
 
     m_exp: int
     d_exp: int
-    prefix: bool
+    prefix: bool               # a prefix report, checked with d_exp = m_exp
     rows: int                  # rectangle sides
     cols: int
 
@@ -158,83 +177,78 @@ def _rule(
     return _Rule(p.m_exp, d_exp, prefix, rows, cols)
 
 
-def _check_counts(counts: np.ndarray, labels: np.ndarray, rule: _Rule):
-    """Check every row of a (K, U) count matrix over ascending color labels.
+def _check_counts(counts: np.ndarray, rule: _Rule):
+    """Check every rectangle of a color-major (U, K) count array: row u
+    holds one color's count in each of K rectangles, colors ascending.
 
     Returns the worst numerator over 2 * area, in exact integers, and the
-    first violating row (None when every row passes).  Labels matter only
-    to the prefix rule.
+    first violating rectangle (None when every one passes).
+
+    The prefix rule needs no levels of its own.  It is checked with
+    D = M, and a level-l bucket of 2^(m-l) colors holds at most 2^(m-l)
+    times its heaviest color's count, so count * 2^l never exceeds that
+    color's count * 2^m: the single-color level m has the worst ratio
+    and, ties going to the longer prefix, the witness.
     """
-    bound = 2 * rule.area
-    if rule.prefix:
-        return _check_prefix(counts, labels, rule.m_exp, bound)
-    kdom = min(1 << (rule.m_exp - rule.d_exp), counts.shape[1])
-    mass = np.add.reduce(np.sort(counts, axis=1)[:, -kdom:], axis=1)
+    kdom = min(1 << (rule.m_exp - rule.d_exp), len(counts))
+    mass = _dominant_mass(counts, kdom)
     worst = int(np.maximum.reduce(mass)) << rule.d_exp
+    bound = 2 * rule.area
     if worst <= bound:
         return worst, None
     return worst, int((mass > bound >> rule.d_exp).argmax())   # mass * D > 2 * area
 
 
-def _prefix_buckets(counts: np.ndarray, labels: np.ndarray, m_exp: int):
-    """Yield (level, bucket ids, (K, B) bucket counts) for levels m_exp..1.
+def _dominant_mass(counts: np.ndarray, kdom: int) -> np.ndarray:
+    """Per rectangle, the summed counts of its kdom most frequent colors.
 
-    Level l buckets colors by their top l bits; labels ascend, so each
-    bucket is a run of columns.
+    Up to _NETWORK_COLORS colors, bubble passes of compare-exchanges over
+    whole color rows move each rectangle's largest counts to the last rows,
+    or its smallest when fewer passes find those; more colors sort each
+    rectangle's counts.
     """
-    for level in range(m_exp, 0, -1):
-        ids = labels >> (m_exp - level)
-        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-        yield level, ids[starts], np.add.reduceat(counts, starts, axis=1)
-
-
-def _check_prefix(counts: np.ndarray, labels: np.ndarray, m_exp: int, bound: int):
-    """Prefix rule: a level-l bucket may hold at most bound / 2^l cells."""
-    worst = 0
-    first = None
-    for level, _, buckets in _prefix_buckets(counts, labels, m_exp):
-        top = buckets.max(axis=1)
-        worst = max(worst, int(top.max()) << level)
-        over = top > bound >> level
-        if over.any():
-            k = int(over.argmax())
-            first = k if first is None else min(first, k)
-    return worst, first
+    u = len(counts)
+    if kdom == 1:
+        return np.maximum.reduce(counts)
+    if kdom == u:
+        return np.add.reduce(counts)
+    if u > _NETWORK_COLORS:
+        top = np.sort(np.ascontiguousarray(counts.T))[:, u - kdom:]
+        return np.add.reduce(np.ascontiguousarray(top.T))
+    top = 2 * kdom <= u
+    passes = kdom if top else u - kdom
+    keep, drop = (np.maximum, np.minimum) if top else (np.minimum, np.maximum)
+    rows = list(counts)
+    for p in range(passes):
+        for i in range(u - 1 - p):
+            a, b = rows[i], rows[i + 1]
+            rows[i + 1] = keep(a, b)
+            if p < passes - 1:
+                rows[i] = drop(a, b)
+    picked = sum(rows[u - passes:])
+    return picked if top else np.add.reduce(counts) - picked
 
 
 def _colorset(row: np.ndarray, labels: np.ndarray, rule: _Rule, ranked: bool):
-    """The offending color set of a violating count row.
-
-    Dominant rule: the M/D most frequent colors by (-count, color), zero
-    counts included, or, when ``ranked`` (labels from ``np.unique``), only
-    the colors present, ascending.  Prefix rule: the colors present in the
-    bucket with the largest count * 2^l; ties go to the longer prefix,
-    then to the smaller bucket.
-    """
-    if not rule.prefix:
-        top = np.argsort(-row, kind="stable")[:1 << (rule.m_exp - rule.d_exp)]
-        if ranked:
-            top = np.sort(top[row[top] > 0])
-        return tuple(int(labels[i]) for i in top)
-    best, colors = 0, None
-    for level, ids, buckets in _prefix_buckets(row[None], labels, rule.m_exp):
-        b = int(buckets[0].argmax())
-        if int(buckets[0, b]) << level > best:
-            best = int(buckets[0, b]) << level
-            inside = ((labels >> (rule.m_exp - level)) == ids[b]) & (row > 0)
-            colors = tuple(int(c) for c in labels[inside])
-    return colors
+    """The offending color set of a violating rectangle's count vector: the
+    M/D most frequent colors by (-count, color), zero counts included, or,
+    when ``ranked`` (labels from ``np.unique``), only the colors present,
+    ascending.  A prefix witness (D = M) is its heaviest color."""
+    top = np.argsort(-row, kind="stable")[:1 << (rule.m_exp - rule.d_exp)]
+    if ranked:
+        top = np.sort(top[row[top] > 0])
+    return tuple(int(labels[i]) for i in top)
 
 
 def _scan(chunks, rule: _Rule, ranked: bool = False):
-    """(worst numerator, first witness) over (rectangle of row, count
-    matrix, labels) chunks taken in order."""
+    """(worst numerator, first witness) over (rectangle of column, count
+    array, labels) chunks taken in order."""
     worst, witness = 0, None
     for rect, counts, labels in chunks:
-        num, first = _check_counts(counts, labels, rule)
+        num, first = _check_counts(counts, rule)
         worst = max(worst, num)
         if first is not None and witness is None:
-            colors = _colorset(counts[first], labels, rule, ranked)
+            colors = _colorset(counts[:, first], labels, rule, ranked)
             witness = (rect(first), ColorSet(colors))
     return worst, witness
 
@@ -251,7 +265,7 @@ def _report(table, s_exp, rule, result, samples=None) -> VerificationReport:
         passed=witness is None, rectangles_checked=checked,
         worst_ratio=Fraction(worst, 2 * rule.area), witness=witness,
         check_s_exp=s_exp, check_d_exp=rule.d_exp, prefix_mode=rule.prefix,
-        table_params=table.params, table_digest=table.digest(),
+        table=table,
     )
 
 
@@ -260,43 +274,79 @@ def _report(table, s_exp, rule, result, samples=None) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=2)
-def _enumeration(n_side: int, rows: int, cols: int, m_colors: int):
+class _Enumeration(NamedTuple):
     """What enumerating the rows x cols rectangles of an N x N table with M
-    colors needs besides its cells: the row and column subsets, each as
-    tuples and as a (count, side) index array, the color labels, the column
-    subsets per chunk and the count-row offset of each rectangle in a chunk.
+    colors needs besides its cells."""
 
-    A chunk holds several row subsets only when it holds every column
-    subset, so chunks stay in rows-major order.  Its gathered cells and its
-    count matrix hold at most _CHUNK entries, unless one rectangle's do.
+    row_sets: tuple                 # S-subsets as tuples, lexicographic
+    col_sets: tuple
+    row_index: np.ndarray           # the same as (count, side) index arrays
+    col_index: np.ndarray
+    labels: np.ndarray              # np.arange(M)
+    n_rows: int                     # row and column subsets per chunk
+    n_cols: int
+    by_row: bool                    # count from per-row histograms
+    slots: np.ndarray               # bincount slot offsets, see _exhaustive
+
+
+@lru_cache(maxsize=2)
+def _enumeration(n_side: int, rows: int, cols: int, m_colors: int) -> _Enumeration:
+    """The subsets, labels, chunk shape and count method of an enumeration.
+
+    Counting ``by_row`` builds, once per table, each row's histogram over
+    every column subset, M * N * C(N, cols) entries, and sums a
+    rectangle's rows of them, rows * M reads.  It is chosen when those
+    histograms and their gathered cells fit in _CHUNK entries, so they
+    never grow with the number of subsets, and when rows * M reads cost
+    less than gathering and counting rows * cols cells, taken as
+    _ROW_COST reads each.  Otherwise each chunk gathers and counts its
+    rectangles' cells, and holds several row subsets only when it holds
+    every column subset, so chunks stay in rows-major order.  Either way
+    a chunk's gathered cells and count array hold at most _CHUNK entries,
+    unless one rectangle's do.
     """
     row_sets = tuple(combinations(range(n_side), rows))
     col_sets = tuple(combinations(range(n_side), cols))
-    per_rect = max(rows * cols, m_colors)
-    n_cols = min(len(col_sets), max(1, _CHUNK // per_rect))
-    n_rows = 1
-    if n_cols == len(col_sets):
-        n_rows = min(len(row_sets), max(1, _CHUNK // (n_cols * per_rect)))
-    rect_ids = np.arange(n_rows)[:, None, None, None] * n_cols
-    rect_ids = rect_ids + np.arange(n_cols)[:, None]
+    width = len(col_sets)
+    by_row = (n_side * width * max(cols, m_colors) <= _CHUNK
+              and m_colors <= _ROW_COST * cols)
+    if by_row:
+        n_cols = width
+        n_rows = min(len(row_sets), max(1, _CHUNK // (m_colors * width)))
+        # (row r, subset c) of a color's per-row histograms
+        slots = (np.arange(n_side)[:, None] * width + np.arange(width))[:, :, None]
+    else:
+        per_rect = max(rows * cols, m_colors)
+        n_cols = min(width, max(1, _CHUNK // per_rect))
+        n_rows = 1
+        if n_cols == width:
+            n_rows = min(len(row_sets), max(1, _CHUNK // (n_cols * per_rect)))
+        # the count row of each rectangle in a chunk
+        slots = (np.arange(n_rows)[:, None, None, None] * n_cols
+                 + np.arange(n_cols)[:, None]) * m_colors
     arrays = (
         np.array(row_sets, dtype=np.intp).reshape(len(row_sets), rows),
-        np.array(col_sets, dtype=np.intp).reshape(len(col_sets), cols),
+        np.array(col_sets, dtype=np.intp).reshape(width, cols),
         np.arange(m_colors),
-        rect_ids * m_colors,            # (rows in chunk, 1, cols in chunk, 1)
+        slots,
     )
     for a in arrays:
         a.setflags(write=False)
-    return row_sets, col_sets, *arrays, n_cols
+    row_index, col_index, labels, slots = arrays
+    return _Enumeration(row_sets, col_sets, row_index, col_index, labels,
+                        n_rows, n_cols, by_row, slots)
 
 
 def _exhaustive(table: BalancedTable, rule: _Rule, enum_cap: int):
-    """Yield (rectangle of row, count matrix, labels) chunks covering every
-    rectangle of the rule's sides, rows-major in lexicographic order.
+    """Yield (rectangle of column, count array, labels) chunks covering
+    every rectangle of the rule's sides, rows-major in lexicographic order.
 
-    Each chunk gathers its rectangles' cells with two ``take`` calls and
-    counts them with one ``bincount``, each rectangle into its own row.
+    By rows, one ``bincount`` builds the (M, N, C(N, cols)) per-row
+    histograms, and a chunk of row subsets sums its rows' histograms with
+    one contiguous ``take`` per row.  Directly, each chunk gathers its
+    rectangles' cells with two ``take`` calls and counts them with one
+    ``bincount``, each rectangle into its own run of M slots, and yields
+    the transposed view.
     """
     if table.cells is None:
         raise TooLarge("exhaustive verification requires an explicit table")
@@ -304,30 +354,43 @@ def _exhaustive(table: BalancedTable, rule: _Rule, enum_cap: int):
     count = math.comb(n_side, rule.rows) * math.comb(n_side, rule.cols)
     if count > enum_cap:
         raise TooLarge(f"{count} rectangles exceed the enumeration cap {enum_cap}")
-    row_sets, col_sets, row_index, col_index, labels, offsets, n_cols = _enumeration(
-        n_side, rule.rows, rule.cols, m_colors
-    )
-    for r0 in range(0, len(row_sets), len(offsets)):
-        rows = row_index[r0:r0 + len(offsets)]
-        block = table.cells.take(rows, axis=0)                 # (k, rows, N)
-        for c0 in range(0, len(col_sets), n_cols):
-            chunk = col_index[c0:c0 + n_cols]
-            grid = block.take(chunk, axis=2)                   # (k, rows, w, cols)
-            slots = grid + offsets[:len(block), :, :len(chunk)]
+    e = _enumeration(n_side, rule.rows, rule.cols, m_colors)
+
+    def chunk_rect(r0, c0, width):
+        def rect(i):
+            r, c = divmod(i, width)
+            return Rectangle(e.row_sets[r0 + r], e.col_sets[c0 + c])
+        return rect
+
+    if e.by_row:
+        width = len(e.col_sets)
+        cells = table.cells.take(e.col_index, axis=1)           # (N, w, cols)
+        slots = cells * np.intp(n_side * width) + e.slots
+        hist = np.bincount(slots.ravel(), minlength=m_colors * n_side * width)
+        hist = hist.reshape(m_colors, n_side, width)
+        for r0 in range(0, len(e.row_sets), e.n_rows):
+            rows = e.row_index[r0:r0 + e.n_rows]
+            counts = hist.take(rows[:, 0], axis=1)              # (M, k, w)
+            for j in range(1, rule.rows):
+                counts += hist.take(rows[:, j], axis=1)
+            yield chunk_rect(r0, 0, width), counts.reshape(m_colors, -1), e.labels
+        return
+    for r0 in range(0, len(e.row_sets), e.n_rows):
+        block = table.cells.take(e.row_index[r0:r0 + e.n_rows], axis=0)  # (k, rows, N)
+        for c0 in range(0, len(e.col_sets), e.n_cols):
+            chunk = e.col_index[c0:c0 + e.n_cols]
+            grid = block.take(chunk, axis=2)                    # (k, rows, w, cols)
+            slots = grid + e.slots[:len(block), :, :len(chunk)]
             size = len(block) * len(chunk) * m_colors
             counts = np.bincount(slots.ravel(), minlength=size)
-
-            def rect(i, r0=r0, c0=c0, width=len(chunk)):
-                r, c = divmod(i, width)
-                return Rectangle(row_sets[r0 + r], col_sets[c0 + c])
-
-            yield rect, counts.reshape(-1, m_colors), labels
+            yield (chunk_rect(r0, c0, len(chunk)), counts.reshape(-1, m_colors).T,
+                   e.labels)
 
 
 def _holds(table: BalancedTable, rule: _Rule) -> bool:
     """Exhaustive pass/fail, stopping at the first violating chunk."""
-    for _, counts, labels in _exhaustive(table, rule, DEFAULT_ENUM_CAP):
-        if _check_counts(counts, labels, rule)[1] is not None:
+    for _, counts, _ in _exhaustive(table, rule, DEFAULT_ENUM_CAP):
+        if _check_counts(counts, rule)[1] is not None:
             return False
     return True
 
@@ -396,10 +459,11 @@ def _rect_colors(table: BalancedTable, rows: np.ndarray, cols: np.ndarray):
 
 def _sampled(table: BalancedTable, rule: _Rule, seed: int, start: int, count: int,
              ranked: bool):
-    """Yield (rectangle of row, count matrix, labels) chunks for samples
+    """Yield (rectangle of column, count array, labels) chunks for samples
     start..start+count-1.  Samples are drawn in batches whose row and
     column draws hold at most _CHUNK entries each, and counted in chunks
-    sized by their count matrix."""
+    sized by their count array, one rectangle per row, yielded transposed
+    to color-major."""
     p = table.params
     if ranked:    # k rectangles hold at most k * area distinct colors
         step = max(1, math.isqrt(_CHUNK // rule.area))
@@ -432,7 +496,7 @@ def _sampled(table: BalancedTable, rule: _Rule, seed: int, start: int, count: in
             rows, cols = rects[k]
             return Rectangle(tuple(int(i) for i in rows), tuple(int(i) for i in cols))
 
-        yield rect, counts, labels
+        yield rect, counts.T, labels
 
 
 def _run_sampled(table: BalancedTable, rule: _Rule, samples: int, seed: int,
@@ -496,7 +560,8 @@ def verify_prefix_balance(
     Applies in the D = M regime: for each prefix v of length l in
     [1, m_exp], the cells whose color starts with v must number at most
     2 * 2^-l * area.  At l = m_exp this is exactly the single-color
-    dominant check.  ``threads`` applies to sampled mode.
+    dominant check, and it implies every shorter level, so that is the
+    check made.  ``threads`` applies to sampled mode.
     """
     rule = _rule(table, s_exp, table.params.m_exp, prefix=True)
     if mode == "exhaustive":

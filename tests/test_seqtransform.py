@@ -334,6 +334,40 @@ class TestBlockTables:
         # must succeed either way
         assert block_table(sched, 2, pol, verify_samples=0).is_explicit
 
+    def test_block_check_hashes_no_table(self, caplog, monkeypatch):
+        # block_table reads only the report's verdict and worst ratio, and a
+        # report hashes its table only when its digest is read
+        def constant(params, seed, explicit_cap):
+            cells = np.zeros((params.n_side, params.n_side), dtype=np.uint8)
+            cells.setflags(write=False)
+            return BalancedTable(params, BACKEND_RANDOM, seed, cells)
+
+        def no_digest(self):
+            raise AssertionError("the block check hashed its table")
+
+        checked = []
+        for sched, build in ((b2_schedule(), random_table),     # S < N: 16 samples
+                             (derive_seq_schedule(F(1), F(1, 2), 2, 3), constant)):
+            with monkeypatch.context() as m:
+                m.setattr(extract, "_table_cache", {})
+                m.setattr(extract, "random_table", build)
+                m.setattr(BalancedTable, "digest", no_digest)
+                with caplog.at_level(logging.WARNING, logger="balext.seqtransform"):
+                    for i in (2, 3):
+                        table = block_table(sched, i, TablePolicy(seed=5))
+                        assert table.is_explicit
+                        checked.append((i, table))
+        want = []
+        for i, table in checked:
+            p = table.params
+            report = verify_prefix_balance(
+                table, p.s_exp, mode="sampled", samples=1 if p.s_exp == p.n_exp else 16,
+                seed=block_seed(5, i))
+            if not report.passed:
+                want.append(f"block {i} explicit table failed sampled prefix-balance "
+                            f"check (worst ratio {report.worst_ratio})")
+        assert len(want) == 2 and caplog.messages == want
+
     def test_whole_table_blocks_warn_as_with_sixteen_samples(self, caplog, monkeypatch):
         # at S = N every sample is the whole table, so block_table checks one:
         # its verdict, worst ratio and warning are those of 16 samples

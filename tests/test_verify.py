@@ -84,36 +84,83 @@ def count_rows(draw):
     return m_exp, d_exp, area, rows
 
 
+@st.composite
+def count_arrays(draw):
+    """(m_exp, d_exp, area, rows): 100-400 count rows over M = 2^m_exp colors
+    from a seeded generator, counts up to 1-4 so that ties abound, each
+    color absent from a row with a drawn probability, and an area at a
+    drawn quantile of the rows' worst masses, so that several rows violate
+    and the first violating row falls anywhere."""
+    m_exp = draw(st.integers(1, 6))
+    d_exp = draw(st.integers(0, m_exp))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, m_colors = draw(st.integers(100, 400)), 1 << m_exp
+    rows = rng.integers(1, draw(st.integers(1, 4)) + 1, size=(k, m_colors))
+    rows[rng.random((k, m_colors)) < draw(st.sampled_from([0, 0.5, 0.9]))] = 0
+    rows[np.arange(k), rng.integers(0, m_colors, size=k)] += 1
+    kdom = m_colors >> d_exp
+    worst = np.sort(rows, axis=1)[:, m_colors - kdom:].sum(axis=1) << d_exp
+    quantile = draw(st.sampled_from([0.3, 0.7, 0.95, 1.0]))
+    area = max(1, int(np.quantile(worst, quantile)) // 2)
+    return m_exp, d_exp, area, rows.tolist()
+
+
+def _check_core(m_exp, d_exp, area, rows, prefix):
+    """The core's worst ratio, first violating row and offending colors on
+    dense and ranked labels, from contiguous (U, K) counts and from a
+    transposed (K, U) array, against the scalar oracles row by row."""
+    m_colors = 1 << m_exp
+    if prefix:
+        d_exp = m_exp
+        expected = [prefix_check_oracle(r, m_exp, area) for r in rows]
+    else:
+        kdom, d_div = m_colors >> d_exp, 1 << d_exp
+        expected = [dominant_check_oracle(r, m_colors, kdom, d_div, area)
+                    for r in rows]
+    worst = max(ratio for ratio, _ in expected)
+    first = next((k for k, (_, bad) in enumerate(expected) if bad), None)
+    rule = _Rule(m_exp, d_exp, prefix, area, 1)
+    counts = np.array(rows, dtype=np.int64)
+    present = np.flatnonzero(counts.any(axis=0))
+    for labels, ranked in ((np.arange(m_colors), False), (present, True)):
+        by_color = counts[:, labels].T
+        for layout in (np.ascontiguousarray(by_color), by_color):
+            num, got_first = _check_counts(layout, rule)
+            assert Fraction(num, 2 * area) == worst
+            assert got_first == first
+        if first is None:
+            continue
+        want = expected[first][1]
+        if ranked:
+            want = tuple(sorted(c for c in want if rows[first][c] > 0))
+        assert _colorset(by_color[:, first], labels, rule, ranked) == want
+    return first
+
+
 class TestCoreAgainstScalarOracles:
     """The vectorized core, dense and ranked, against the scalar checks."""
 
     @settings(max_examples=300, deadline=None)
     @given(count_rows(), st.booleans())
     def test_matches_oracles(self, case, prefix):
-        m_exp, d_exp, area, rows = case
-        m_colors = 1 << m_exp
-        if prefix:
-            d_exp = m_exp
-            expected = [prefix_check_oracle(r, m_exp, area) for r in rows]
-        else:
-            kdom, d_div = m_colors >> d_exp, 1 << d_exp
-            expected = [dominant_check_oracle(r, m_colors, kdom, d_div, area)
-                        for r in rows]
-        worst = max(ratio for ratio, _ in expected)
-        first = next((k for k, (_, bad) in enumerate(expected) if bad), None)
-        rule = _Rule(m_exp, d_exp, prefix, area, 1)
-        counts = np.array(rows, dtype=np.int64)
-        present = np.flatnonzero(counts.any(axis=0))
-        for labels, ranked in ((np.arange(m_colors), False), (present, True)):
-            num, got_first = _check_counts(counts[:, labels], labels, rule)
-            assert Fraction(num, 2 * area) == worst
-            assert got_first == first
-            if first is None:
-                continue
-            want = expected[first][1]
-            if ranked:
-                want = tuple(sorted(c for c in want if rows[first][c] > 0))
-            assert _colorset(counts[first, labels], labels, rule, ranked) == want
+        _check_core(*case, prefix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(count_arrays(), st.booleans())
+    def test_matches_oracles_across_hundreds_of_rows(self, case, prefix):
+        # palettes of 2-64 colors: both sides of the _NETWORK_COLORS choice
+        _check_core(*case, prefix)
+
+    def test_rare_heavy_colors_violate_late(self):
+        # 300 rows of counts 0-2 over 8 colors, one color 6 heavier in about
+        # 5% of them: at area 10, 15 rows violate the D = 2 dominant rule,
+        # the first at row 47, and 17 violate the prefix rule, from row 46
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 3, size=(300, 8))
+        heavy = rng.random(300) < 0.05
+        rows[heavy, rng.integers(0, 8, size=heavy.sum())] += 6
+        assert _check_core(3, 1, 10, rows.tolist(), False) == 47
+        assert _check_core(3, 1, 10, rows.tolist(), True) == 46
 
 
 class TestExhaustive:
@@ -155,10 +202,13 @@ class TestExhaustive:
         assert report.worst_ratio == 1
 
     def test_chunking_keeps_reports(self, monkeypatch):
-        # tiny chunks split the column subsets of one row subset across
-        # chunks; witnesses must stay first in rows-major order
+        # at _CHUNK = 8 the cells are counted directly and each chunk holds
+        # one column subset of one row subset; at 2240 they are counted by
+        # rows, and the row subsets of the 4 x 4 rectangles span 9 chunks.
+        # Witnesses must stay first in rows-major order either way
         tables = [constant_table()] + [random_table(TableParams(3, 2, 2, 1), s)
                                        for s in range(4)]
+        sides = ((4, 4), (3, 5), (8, 2))
 
         def reports():
             verify._enumeration.cache_clear()
@@ -166,15 +216,42 @@ class TestExhaustive:
             for t in tables:
                 out += [verify_exhaustive(t, 2, d).to_json() for d in (1, 2)]
                 out.append(verify_prefix_balance(t, 1).to_json())
-                out += [check_rectangle_sides(t, r, c, 2) for r, c in ((3, 5), (8, 2))]
+                out += [check_rectangle_sides(t, r, c, 2) for r, c in sides[1:]]
             return out
 
+        def chunks(rows, cols):
+            rule = _Rule(2, 1, False, rows, cols)
+            e = verify._enumeration(8, rows, cols, 4)
+            return e, sum(1 for _ in verify._exhaustive(tables[1], rule, 10**6))
+
         want = reports()
-        monkeypatch.setattr(verify, "_CHUNK", 8)
         try:
+            monkeypatch.setattr(verify, "_CHUNK", 8)
             assert reports() == want
+            for rows, cols in sides:
+                e, n = chunks(rows, cols)
+                assert not e.by_row
+                assert n == len(e.row_sets) * len(e.col_sets)
+            monkeypatch.setattr(verify, "_CHUNK", 2240)
+            assert reports() == want
+            e, n = chunks(4, 4)
+            assert e.by_row and 4 * 8 * len(e.col_sets) == 2240
+            assert n == 9 and e.n_rows * n >= len(e.row_sets) > e.n_rows * (n - 1)
         finally:
             verify._enumeration.cache_clear()
+
+    def test_exhaustive_memory_is_independent_of_subsets(self):
+        # N = 32 and 64 give 496 and 2016 column subsets, which span one and
+        # two chunks per row subset; per-row histograms over all 2016 would
+        # take 16 MB
+        def peak(n_exp):
+            t = random_table(TableParams(n_exp, 4, 1, 2), 1)
+            verify_exhaustive(t, 1, 2)           # caches the enumeration
+            return _peak_bytes(lambda: verify_exhaustive(t, 1, 2))
+
+        few, many = peak(5), peak(6)
+        assert many < few + (256 << 10)
+        assert many < 2 << 20
 
     def test_requires_explicit(self):
         t = keyed_table(TableParams(3, 2, 2, 1), key=1)
