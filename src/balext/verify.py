@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -60,7 +60,6 @@ from .tables import EXPLICIT_N_EXP_CAP, BalancedTable, keyed_colors_grid
 DEFAULT_ENUM_CAP = 10**8
 _CHUNK = 1 << 14             # entries of a chunk's gathered cells, count array or draws
 _NETWORK_COLORS = 8          # up to this many colors, a dominant check sorts by network
-_ROW_COST = 8                # reads per gathered and counted cell, see _enumeration
 _DENSE_COLORS = 1 << 20      # above this many colors, sampled mode ranks colors
 # a sampled rectangle holds at most as many cells as the largest explicit table
 _MAX_AREA = 1 << 2 * EXPLICIT_N_EXP_CAP
@@ -79,6 +78,14 @@ class ColorSet:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """A verifier's verdict on one table.
+
+    The report keeps the checked table, so the table's cells stay in memory
+    as long as the report does, and hashes it only when ``table_digest`` is
+    first read: a caller that reads only the verdict never hashes every
+    cell.  Two reports are equal when their fields and table digests are.
+    """
+
     mode: str                      # "exhaustive" or "sampled"
     samples: int | None
     passed: bool
@@ -88,17 +95,19 @@ class VerificationReport:
     check_s_exp: int
     check_d_exp: int
     prefix_mode: bool
-    table: BalancedTable = field(repr=False)
-
-    @property
-    def table_params(self) -> TableParams:
-        return self.table.params
+    table_params: TableParams
+    _table: BalancedTable = field(repr=False, compare=False)
 
     @property
     def table_digest(self) -> str:
-        """The checked table's digest, hashed when first read, so that a
-        caller that reads only the verdict never hashes every cell."""
-        return self.table.digest()
+        return self._table.digest()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = all(getattr(self, f.name) == getattr(other, f.name)
+                   for f in fields(self) if f.compare)
+        return same and self.table_digest == other.table_digest
 
     def to_json_dict(self) -> dict:
         w = None
@@ -202,10 +211,9 @@ def _check_counts(counts: np.ndarray, rule: _Rule):
 def _dominant_mass(counts: np.ndarray, kdom: int) -> np.ndarray:
     """Per rectangle, the summed counts of its kdom most frequent colors.
 
-    Up to _NETWORK_COLORS colors, bubble passes of compare-exchanges over
-    whole color rows move each rectangle's largest counts to the last rows,
-    or its smallest when fewer passes find those; more colors sort each
-    rectangle's counts.
+    Up to _NETWORK_COLORS colors, kdom bubble passes of compare-exchanges
+    over whole color rows move each rectangle's kdom largest counts to the
+    last rows; more colors sort each rectangle's counts.
     """
     u = len(counts)
     if kdom == 1:
@@ -215,18 +223,14 @@ def _dominant_mass(counts: np.ndarray, kdom: int) -> np.ndarray:
     if u > _NETWORK_COLORS:
         top = np.sort(np.ascontiguousarray(counts.T))[:, u - kdom:]
         return np.add.reduce(np.ascontiguousarray(top.T))
-    top = 2 * kdom <= u
-    passes = kdom if top else u - kdom
-    keep, drop = (np.maximum, np.minimum) if top else (np.minimum, np.maximum)
     rows = list(counts)
-    for p in range(passes):
+    for p in range(kdom):
         for i in range(u - 1 - p):
             a, b = rows[i], rows[i + 1]
-            rows[i + 1] = keep(a, b)
-            if p < passes - 1:
-                rows[i] = drop(a, b)
-    picked = sum(rows[u - passes:])
-    return picked if top else np.add.reduce(counts) - picked
+            rows[i + 1] = np.maximum(a, b)
+            if p < kdom - 1:
+                rows[i] = np.minimum(a, b)
+    return sum(rows[u - kdom:])
 
 
 def _colorset(row: np.ndarray, labels: np.ndarray, rule: _Rule, ranked: bool):
@@ -265,7 +269,7 @@ def _report(table, s_exp, rule, result, samples=None) -> VerificationReport:
         passed=witness is None, rectangles_checked=checked,
         worst_ratio=Fraction(worst, 2 * rule.area), witness=witness,
         check_s_exp=s_exp, check_d_exp=rule.d_exp, prefix_mode=rule.prefix,
-        table=table,
+        table_params=table.params, _table=table,
     )
 
 
@@ -295,21 +299,18 @@ def _enumeration(n_side: int, rows: int, cols: int, m_colors: int) -> _Enumerati
 
     Counting ``by_row`` builds, once per table, each row's histogram over
     every column subset, M * N * C(N, cols) entries, and sums a
-    rectangle's rows of them, rows * M reads.  It is chosen when those
-    histograms and their gathered cells fit in _CHUNK entries, so they
-    never grow with the number of subsets, and when rows * M reads cost
-    less than gathering and counting rows * cols cells, taken as
-    _ROW_COST reads each.  Otherwise each chunk gathers and counts its
-    rectangles' cells, and holds several row subsets only when it holds
-    every column subset, so chunks stay in rows-major order.  Either way
-    a chunk's gathered cells and count array hold at most _CHUNK entries,
-    unless one rectangle's do.
+    rectangle's rows of them, rows * M reads.  It is chosen whenever
+    those histograms and their gathered cells fit in _CHUNK entries, so
+    they never grow with the number of subsets.  Otherwise each chunk
+    gathers and counts its rectangles' cells, and holds several row
+    subsets only when it holds every column subset, so chunks stay in
+    rows-major order.  Either way a chunk's gathered cells and count array
+    hold at most _CHUNK entries, unless one rectangle's do.
     """
     row_sets = tuple(combinations(range(n_side), rows))
     col_sets = tuple(combinations(range(n_side), cols))
     width = len(col_sets)
-    by_row = (n_side * width * max(cols, m_colors) <= _CHUNK
-              and m_colors <= _ROW_COST * cols)
+    by_row = n_side * width * max(cols, m_colors) <= _CHUNK
     if by_row:
         n_cols = width
         n_rows = min(len(row_sets), max(1, _CHUNK // (m_colors * width)))

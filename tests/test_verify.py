@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -479,6 +480,19 @@ class TestReportJson:
         assert doc["witness"]["colors"] == [0]
         assert doc["params"] == {"n_exp": 3, "m_exp": 2, "s_exp": 2, "d_exp": 2}
         assert doc["table_digest"] == t.digest()
+
+    def test_reports_compare_by_table_digest(self):
+        # a report holds its table but compares by digest: the same cells in
+        # another table object give an equal report, other cells do not
+        t = random_table(TableParams(3, 2, 2, 1), 0)
+        twin = BalancedTable(t.params, t.backend, t.seed_or_key, t.cells.copy())
+        report, again = verify_exhaustive(t, 2, 1), verify_exhaustive(twin, 2, 1)
+        assert report == again and hash(report) == hash(again)
+        other = random_table(TableParams(3, 2, 2, 1), 1)
+        assert other.digest() != t.digest()
+        assert replace(report, _table=other) != report
+        assert report.table_params == t.params
+        assert "cells" not in repr(report)
 
     def test_sampled_schema_carries_count(self):
         t = structured_table(0)
