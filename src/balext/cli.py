@@ -26,16 +26,10 @@ from .core import (
     derive_seq_schedule,
     parse_fraction,
 )
-from .extract import TablePolicy, extract_conditional, extract_string
+from .extract import TablePolicy, build_table, extract_conditional, extract_string
 from .seqtransform import BitStringStream, BlockLayout, SequenceTransformer
 from .sources import PlantedPairSpec, run_extraction_experiment
-from .tables import (
-    BalancedTable,
-    canonical_table,
-    existence_condition_exponents,
-    keyed_table,
-    random_table,
-)
+from .tables import BalancedTable, existence_condition_exponents
 from .verify import verify_exhaustive, verify_prefix_balance, verify_sampled
 
 EXIT_OK = 0
@@ -81,12 +75,8 @@ def _int_auto(text: str) -> int:
 
 def _cmd_gen_table(args) -> int:
     params = TableParams(args.n_exp, args.m_exp, args.s_exp, args.d_exp)
-    if args.backend == "random":
-        table = random_table(params, args.seed)
-    elif args.backend == "canonical":
-        table = canonical_table(params)
-    else:
-        table = keyed_table(params, args.seed)
+    # uncached: a table written to a file is not worth keeping in memory
+    table = build_table(params, TablePolicy(args.backend, seed=args.seed, key=args.seed))
     _write_bytes(args.out, table.to_bytes())
     print(f"backend={table.backend_name} digest={table.digest()}")
     return EXIT_OK
@@ -187,9 +177,9 @@ def _cmd_experiment(args) -> int:
     spec = PlantedPairSpec(
         args.n, parse_fraction(args.sigma), parse_fraction(args.alpha), args.seed
     )
-    report = run_extraction_experiment(
-        spec, args.trials, _policy(args.seed), threads=args.threads
-    )
+    if args.threads < 1:
+        raise InvalidParams("need threads >= 1")
+    report = run_extraction_experiment(spec, args.trials, _policy(args.seed))
     if args.csv:
         try:
             report.write_csv(args.csv)
@@ -228,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["random", "canonical", "keyed"],
                    default="random")
     p.add_argument("--seed", type=_int_auto, default=0,
-                   help="64-bit seed (random) or 128-bit key (keyed); 0x-hex accepted")
+                   help="64-bit seed (random) or raw 128-bit key (keyed); "
+                   "0x-hex accepted")
     p.add_argument("--out", required=True, help="output table file (BTAB format)")
     p.set_defaults(fn=_cmd_gen_table)
 
@@ -304,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_auto, default=0)
     p.add_argument("--csv", default=None, help="per-trial CSV output")
     p.add_argument("--summary", default=None, help="JSON summary output")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility, must be >= 1; trials run "
+                   "in one thread")
     p.set_defaults(fn=_cmd_experiment)
 
     return ap

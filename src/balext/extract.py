@@ -6,11 +6,13 @@ the cell's color as an m_exp-bit string, most significant bit first.  The
 complexity guarantee itself is uncomputable and is never a postcondition;
 the sources module provides the statistical stand-in.
 
-Table policy: "canonical" works at micro scale only, "random" materializes
-a seeded explicit table up to the explicit cap, "keyed" computes colors on
-demand at any size, and "auto" picks random when the shape fits the cap
-and keyed otherwise (keyed key expanded from the seed).  :func:`table_for`
-is the one constructor behind a policy, for the extractors, the
+Table policy: "canonical" works at micro scale only (descriptions up to
+``tables.MICRO_DESCRIPTION_CAP`` bits), "random" materializes a seeded
+explicit table up to ``tables.EXPLICIT_N_EXP_CAP``, "keyed" computes
+colors on demand at any size, and "auto" picks random when the shape fits
+that cap and keyed otherwise (keyed key expanded from the seed).
+:func:`build_table` is the one builder behind a policy, and
+:func:`table_for` is the one cache around it, for the extractors, the
 experiments and the sequence transformer alike.
 """
 
@@ -30,7 +32,6 @@ from .core import (
 from .tables import (
     EXPLICIT_M_EXP_CAP,
     EXPLICIT_N_EXP_CAP,
-    MICRO_DESCRIPTION_CAP,
     BalancedTable,
     canonical_table,
     key_from_seed,
@@ -46,16 +47,19 @@ class TablePolicy:
     kind: str = "auto"            # auto | random | keyed | canonical
     seed: int = 0
     key: int | None = None        # keyed backend; derived from seed when None
-    explicit_cap: int = EXPLICIT_N_EXP_CAP
-    micro_cap: int = MICRO_DESCRIPTION_CAP
 
     def effective_key(self) -> int:
         return self.key if self.key is not None else key_from_seed(self.seed)
 
-    def fits_explicit(self, params: TableParams) -> bool:
-        return (
-            params.n_exp <= self.explicit_cap and params.m_exp <= EXPLICIT_M_EXP_CAP
-        )
+    def kind_for(self, params: TableParams) -> str:
+        """The kind of table this policy gives for these params: "auto" is
+        random when the shape fits the explicit caps and keyed otherwise."""
+        if self.kind == "auto":
+            fits = params.n_exp <= EXPLICIT_N_EXP_CAP and params.m_exp <= EXPLICIT_M_EXP_CAP
+            return "random" if fits else "keyed"
+        if self.kind not in ("random", "keyed", "canonical"):
+            raise InvalidParams(f"unknown table policy kind {self.kind!r}")
+        return self.kind
 
 
 _table_cache: dict[tuple, BalancedTable] = {}
@@ -64,55 +68,39 @@ _TABLE_CACHE_MAX = 8
 _TABLE_CACHE_MAX_BYTES = 1 << 25   # cell bytes kept beyond the newest table
 
 
-def _cache_key(params: TableParams, policy: TablePolicy) -> tuple | None:
-    """(params, kind, what else picks the table) for a table with cells,
-    with "auto" resolved to the kind it picks for these params; None for a
-    keyed table, which is never cached."""
-    kind = policy.kind
-    if kind == "auto":
-        kind = "random" if policy.fits_explicit(params) else "keyed"
+def build_table(params: TableParams, policy: TablePolicy) -> BalancedTable:
+    """Build the policy's table, uncached; the one place that maps a
+    policy kind to a table builder."""
+    kind = policy.kind_for(params)
     if kind == "random":
-        return (params, kind, policy.seed, policy.explicit_cap)
+        return random_table(params, policy.seed)
     if kind == "canonical":
-        return (params, kind, policy.micro_cap)
-    if kind == "keyed":
-        return None
-    raise InvalidParams(f"unknown table policy kind {policy.kind!r}")
-
-
-def cached_table(params: TableParams, policy: TablePolicy) -> BalancedTable | None:
-    """The table :func:`table_for` would return from its cache, or None
-    when that call would build one."""
-    key = _cache_key(params, policy)
-    if key is None:
-        return None
-    with _table_cache_lock:
-        return _table_cache.get(key)
+        return canonical_table(params)
+    return keyed_table(params, policy.effective_key())
 
 
 def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
-    """Construct (or fetch from the process-wide cache) the policy's table.
+    """The policy's table from :func:`build_table`, through the
+    process-wide cache.
 
     The extractors, the planted experiments and every block of the
     sequence transformer get their tables here.
 
     Cached instances are immutable, so this is observationally identical
     to reconstructing the table on every call.  Only tables with cells are
-    cached: a keyed table is built in O(1) and never evicts one that cost a
-    fill.  The cache keeps at most ``_TABLE_CACHE_MAX`` tables and, apart
-    from the newest one, at most ``_TABLE_CACHE_MAX_BYTES`` of cells; the
-    oldest entries go first.
+    cached, keyed by (params, kind, seed): a keyed table is built in O(1)
+    and never evicts one that cost a fill.  The cache keeps at most
+    ``_TABLE_CACHE_MAX`` tables and, apart from the newest one, at most
+    ``_TABLE_CACHE_MAX_BYTES`` of cells; the oldest entries go first.
     """
-    key = _cache_key(params, policy)
-    if key is None:
-        return keyed_table(params, policy.effective_key())
+    kind = policy.kind_for(params)
+    if kind == "keyed":
+        return build_table(params, policy)
+    key = (params, kind, policy.seed)
     with _table_cache_lock:
         if key in _table_cache:
             return _table_cache[key]
-    if key[1] == "random":
-        table = random_table(params, policy.seed, explicit_cap=policy.explicit_cap)
-    else:
-        table = canonical_table(params, micro_cap=policy.micro_cap)
+    table = build_table(params, policy)
     with _table_cache_lock:
         _table_cache.pop(key, None)
         _table_cache[key] = table

@@ -17,23 +17,29 @@ of those positions once.
 Per-block tables are reproducible: block i's seed is output i of the
 master seed's stream.  Every block table comes from ``extract.table_for``
 with that seed: blocks that fit the explicit cap get explicit random
-tables (sampled-verified when built, logging a warning on failure), larger
-blocks get keyed tables.
+tables (sampled-verified once per table, logging a warning on failure),
+larger blocks get keyed tables.
 """
 
 from __future__ import annotations
 
 import bisect
 import logging
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Protocol, runtime_checkable
 
 from .core import BitString, InvalidParams, OutOfRange, SeqSchedule
-from .extract import TablePolicy, cached_table, table_for
+from .extract import TablePolicy, table_for
 from .mixing import stream_bits, stream_value
 from .tables import BalancedTable
 
 logger = logging.getLogger(__name__)
+
+_BLOCK_CHECK_SAMPLES = 16
+# explicit block tables already checked, by identity: a table rebuilt after
+# the cache dropped it is a new object and is checked again
+_checked_tables: weakref.WeakSet[BalancedTable] = weakref.WeakSet()
 
 
 @runtime_checkable
@@ -177,30 +183,24 @@ def block_seed(master_seed: int, i: int) -> int:
 
 
 def block_table(
-    schedule: SeqSchedule,
-    i: int,
-    policy: TablePolicy = TablePolicy(),
-    *,
-    verify_samples: int = 16,
+    schedule: SeqSchedule, i: int, policy: TablePolicy = TablePolicy()
 ) -> BalancedTable:
     """Block i's table, from :func:`table_for` under the policy with block
     i's seed, so the process-wide table cache serves every transformer and
     every block.  A block that fits the explicit cap gets an explicit
     random table, a larger one a keyed table.
 
-    An explicit table is checked with ``verify_samples`` sampled
-    rectangles when ``table_for`` builds it, not when the cache returns it,
-    so a failed check logs one warning per built table; 0 skips the check.
-    Two threads that build the same table at once both check it.
+    An explicit table is checked once per table object, the first time
+    :func:`table_for` returns it here, whoever built it: a sampled
+    prefix-balance check of ``_BLOCK_CHECK_SAMPLES`` rectangles, or of one
+    when S = N.  A failed check logs one warning per table.  Two threads
+    that get an unchecked table at once may both check it.
     """
     params = schedule.block(i).table_params()
     seed = block_seed(policy.seed, i)
-    block_policy = replace(policy, kind="auto", seed=seed, key=None)
-    if not policy.fits_explicit(params):
-        return table_for(params, block_policy)
-    cached = cached_table(params, block_policy)
-    table = table_for(params, block_policy)
-    if table is not cached and verify_samples > 0:
+    table = table_for(params, replace(policy, kind="auto", seed=seed, key=None))
+    if table.is_explicit and table not in _checked_tables:
+        _checked_tables.add(table)
         # D = M per block, so the prefix check is the relevant one: it
         # covers every output-prefix length, not just whole colors.  At
         # S = N every sample is the whole table, so one gives the verdict
@@ -209,7 +209,7 @@ def block_table(
 
         report = verify_prefix_balance(
             table, params.s_exp, mode="sampled",
-            samples=1 if params.s_exp == params.n_exp else verify_samples,
+            samples=1 if params.s_exp == params.n_exp else _BLOCK_CHECK_SAMPLES,
             seed=seed,
         )
         if not report.passed:
@@ -231,23 +231,18 @@ class SequenceTransformer:
         y: BitStream,
         schedule: SeqSchedule,
         policy: TablePolicy = TablePolicy(),
-        *,
-        verify_samples: int = 16,
     ):
         self.x = x
         self.y = y
         self.schedule = schedule
         self.policy = policy
-        self.verify_samples = verify_samples
         self.layout = BlockLayout.from_schedule(schedule)
 
     def _block_output(self, i: int, x_prefix: BitString, y_prefix: BitString) -> BitString:
         a, b = self.layout.input_range(i)
         x_i = x_prefix.substring(a, b)
         y_i = y_prefix.substring(a, b)
-        table = block_table(
-            self.schedule, i, self.policy, verify_samples=self.verify_samples
-        )
+        table = block_table(self.schedule, i, self.policy)
         return BitString(table.lookup(x_i.value, y_i.value), table.params.m_exp)
 
     def output_bit(self, pos: int) -> int:

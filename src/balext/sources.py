@@ -25,9 +25,7 @@ import functools
 import itertools
 import json
 import math
-import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Protocol
@@ -353,17 +351,15 @@ class MatchCompressor:
 
     def __init__(self) -> None:
         self._memo: dict[tuple[int, int], int] = {}
-        self._memo_lock = threading.Lock()
 
     def estimate(self, s: BitString) -> float:
         key = (s.value, s.length)
         cost = self._memo.get(key)
         if cost is None:
             cost = self.cost_bits(s)
-            with self._memo_lock:
-                if len(self._memo) >= _MEMO_MAX:
-                    self._memo.clear()
-                self._memo[key] = cost
+            if len(self._memo) >= _MEMO_MAX:
+                self._memo.clear()
+            self._memo[key] = cost
         return float(cost)
 
     def cost_bits(self, s: BitString) -> int:
@@ -569,44 +565,25 @@ def run_extraction_experiment(
     trials: int,
     policy: TablePolicy = TablePolicy(),
     estimator: ComplexityEstimator | None = None,
-    *,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Extract one output per trial through a single fixed table.
 
     Trial t draws its pair from seed ``stream_value(spec.seed, t)``; the
-    table comes from the policy once and is shared across trials.  Reports
-    are bit-identical for any thread count.
+    table comes from the policy once and is shared across trials.
 
-    Each thread takes one contiguous run of trials.  Up to n = 64 bits a
-    run is batched: its seeds, pairs and explicit-table cells come from
-    numpy uint64 arrays.  Longer inputs run one trial at a time through
+    All trials run in one thread, as one run.  Up to n = 64 bits the run
+    is batched: its seeds, pairs and explicit-table cells come from numpy
+    uint64 arrays.  Longer inputs run one trial at a time through
     :func:`gen_planted_pair`.  Either way the estimator and a keyed table
     see each distinct (x, y) once.
     """
     if trials < 1:
         raise InvalidParams("need trials >= 1")
-    if threads < 1:
-        raise InvalidParams("need threads >= 1")
     estimator = estimator if estimator is not None else MatchCompressor()
     params = derive_string_params(spec.n, spec.sigma, spec.alpha, strict=False)
     table = table_for(params.table_params(), policy)
     m_exp = params.m_exp
-
-    per = (trials + threads - 1) // threads
-    starts = list(range(0, trials, per))
-    args = [(spec, table, m_exp, estimator, s0, min(per, trials - s0)) for s0 in starts]
-    if threads <= 1 or len(args) == 1:
-        results = [_experiment_chunk(*a) for a in args]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = [f.result() for f in [pool.submit(_experiment_chunk, *a) for a in args]]
-
-    rows: list[TrialRow] = []
-    outs: Counter = Counter()
-    for chunk_rows, chunk_outs in results:
-        rows.extend(chunk_rows)
-        outs.update(chunk_outs)
+    rows, outs = _experiment_chunk(spec, table, m_exp, estimator, 0, trials)
 
     deps = [r.dep_hat for r in rows]
     nominal = (2 * Fraction(spec.sigma) - Fraction(spec.alpha)) * spec.n - 9 * ceil_log2(

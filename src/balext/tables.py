@@ -60,7 +60,7 @@ _BACKEND_NAMES = {BACKEND_RANDOM: "random",
                   BACKEND_CANONICAL: "canonical",
                   BACKEND_KEYED: "keyed"}
 
-EXPLICIT_N_EXP_CAP = 12      # default cap: at most 2**24 explicit cells
+EXPLICIT_N_EXP_CAP = 12      # at most 2**24 explicit cells
 EXPLICIT_M_EXP_CAP = 16      # colors must fit the 1/2-byte cell storage
 MICRO_DESCRIPTION_CAP = 24   # canonical search cap on N*N*m_exp bits
 _CONDITION_EXP_CAP = 0xFFFF   # existence check: 2**cap is an 8 KB integer
@@ -364,14 +364,11 @@ def _random_cells(seed: int, n_exp: int, m_exp: int) -> np.ndarray:
     return out
 
 
-def random_table(
-    params: TableParams, seed: int, *, explicit_cap: int = EXPLICIT_N_EXP_CAP
-) -> BalancedTable:
+def random_table(params: TableParams, seed: int) -> BalancedTable:
     """Explicit table with independently uniform seeded-pseudorandom colors."""
-    if params.n_exp > explicit_cap:
-        raise TooLarge(
-            f"n_exp = {params.n_exp} exceeds the explicit-backend cap {explicit_cap}"
-        )
+    if params.n_exp > EXPLICIT_N_EXP_CAP:
+        raise TooLarge(f"n_exp = {params.n_exp} exceeds the explicit-backend cap "
+                       f"{EXPLICIT_N_EXP_CAP}")
     if params.m_exp > EXPLICIT_M_EXP_CAP:
         raise TooLarge(f"m_exp = {params.m_exp} exceeds explicit color storage (16)")
     cells = _random_cells(seed & MASK64, params.n_exp, params.m_exp)
@@ -385,31 +382,21 @@ def keyed_table(params: TableParams, key: int) -> BalancedTable:
     return BalancedTable(params, BACKEND_KEYED, key, None)
 
 
-def canonical_table(
-    params: TableParams,
-    verifier=None,
-    *,
-    micro_cap: int = MICRO_DESCRIPTION_CAP,
-) -> BalancedTable:
+def canonical_table(params: TableParams) -> BalancedTable:
     """First table, in lexicographic row-major color order, passing the
-    exhaustive balance check.
-
-    ``verifier`` is a predicate BalancedTable -> bool; by default the
-    exhaustive (S, D)-balance check at the table's own (s_exp, d_exp).
+    exhaustive (S, D)-balance check at its own (s_exp, d_exp).  Searches
+    only descriptions of at most ``MICRO_DESCRIPTION_CAP`` bits.
     """
+    from .verify import balance_holds
+
     n_side = params.n_side
     ncells = n_side * n_side
     description_bits = ncells * params.m_exp
-    if description_bits > micro_cap:
+    if description_bits > MICRO_DESCRIPTION_CAP:
         raise TooLarge(
-            f"table description is {description_bits} bits, cap is {micro_cap}"
+            f"table description is {description_bits} bits, "
+            f"cap is {MICRO_DESCRIPTION_CAP}"
         )
-    if verifier is None:
-        from .verify import balance_holds
-
-        def verifier(t: BalancedTable) -> bool:
-            return balance_holds(t, params.s_exp, params.d_exp)
-
     m_colors = params.m_colors
     mask = m_colors - 1
     dtype = _cell_dtype(params.m_exp)
@@ -420,7 +407,7 @@ def canonical_table(
         cells = np.array(flat, dtype=dtype).reshape(n_side, n_side)
         cells.setflags(write=False)
         candidate = BalancedTable(params, BACKEND_CANONICAL, 0, cells)
-        if verifier(candidate):
+        if balance_holds(candidate, params.s_exp, params.d_exp):
             return candidate
     raise NotFound("no balanced table exists at these parameters")
 

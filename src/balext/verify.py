@@ -57,7 +57,7 @@ from .core import InvalidParams, TableParams, TooLarge
 from .mixing import GAMMA, MASK64, partial_shuffle_batch, scramble_np
 from .tables import EXPLICIT_N_EXP_CAP, BalancedTable, keyed_colors_grid
 
-DEFAULT_ENUM_CAP = 10**8
+ENUM_CAP = 10**8             # most rectangles an exhaustive check enumerates
 _CHUNK = 1 << 14             # entries of a chunk's gathered cells, count array or draws
 _NETWORK_COLORS = 8          # up to this many colors, a dominant check sorts by network
 _DENSE_COLORS = 1 << 20      # above this many colors, sampled mode ranks colors
@@ -338,7 +338,7 @@ def _enumeration(n_side: int, rows: int, cols: int, m_colors: int) -> _Enumerati
                         n_rows, n_cols, by_row, slots)
 
 
-def _exhaustive(table: BalancedTable, rule: _Rule, enum_cap: int):
+def _exhaustive(table: BalancedTable, rule: _Rule):
     """Yield (rectangle of column, count array, labels) chunks covering
     every rectangle of the rule's sides, rows-major in lexicographic order.
 
@@ -353,8 +353,8 @@ def _exhaustive(table: BalancedTable, rule: _Rule, enum_cap: int):
         raise TooLarge("exhaustive verification requires an explicit table")
     n_side, m_colors = table.params.n_side, table.params.m_colors
     count = math.comb(n_side, rule.rows) * math.comb(n_side, rule.cols)
-    if count > enum_cap:
-        raise TooLarge(f"{count} rectangles exceed the enumeration cap {enum_cap}")
+    if count > ENUM_CAP:
+        raise TooLarge(f"{count} rectangles exceed the enumeration cap {ENUM_CAP}")
     e = _enumeration(n_side, rule.rows, rule.cols, m_colors)
 
     def chunk_rect(r0, c0, width):
@@ -390,7 +390,7 @@ def _exhaustive(table: BalancedTable, rule: _Rule, enum_cap: int):
 
 def _holds(table: BalancedTable, rule: _Rule) -> bool:
     """Exhaustive pass/fail, stopping at the first violating chunk."""
-    for _, counts, _ in _exhaustive(table, rule, DEFAULT_ENUM_CAP):
+    for _, counts, _ in _exhaustive(table, rule):
         if _check_counts(counts, rule)[1] is not None:
             return False
     return True
@@ -400,12 +400,10 @@ def verify_exhaustive(
     table: BalancedTable,
     s_exp: int,
     d_exp: int,
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> VerificationReport:
     """Check every S x S rectangle against the dominant-subset bound."""
     rule = _rule(table, s_exp, d_exp)
-    result = _scan(_exhaustive(table, rule, enum_cap), rule)
+    result = _scan(_exhaustive(table, rule), rule)
     return _report(table, s_exp, rule, result)
 
 
@@ -553,7 +551,6 @@ def verify_prefix_balance(
     mode: str = "exhaustive",
     samples: int = 1000,
     seed: int = 0,
-    enum_cap: int = DEFAULT_ENUM_CAP,
     threads: int = 1,
 ) -> VerificationReport:
     """Check, per rectangle, every color-prefix bucket of every length.
@@ -566,7 +563,7 @@ def verify_prefix_balance(
     """
     rule = _rule(table, s_exp, table.params.m_exp, prefix=True)
     if mode == "exhaustive":
-        result = _scan(_exhaustive(table, rule, enum_cap), rule)
+        result = _scan(_exhaustive(table, rule), rule)
         return _report(table, s_exp, rule, result)
     if mode == "sampled":
         result = _run_sampled(table, rule, samples, seed, threads)

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from balext import extract
+from balext import extract, seqtransform
 from balext.core import BitString, TableParams, ceil_log2
 from balext.mixing import GAMMA, MASK64, bounded, scramble, stream_value
 from balext.sources import PlantedPairSpec, TrialRow, dep_estimate, gen_planted_pair
@@ -257,10 +257,14 @@ def keyed_color_oracle(key: int, n_exp: int, m_exp: int, row: int, col: int) -> 
 @pytest.fixture(autouse=True)
 def _empty_table_cache():
     """No test sees a table that an earlier test put in the process-wide
-    cache, so a monkeypatched builder is always the one that runs."""
+    cache, so a monkeypatched builder is always the one that runs, and no
+    test depends on when garbage collection drops the record of checked
+    block tables."""
     extract._table_cache.clear()
+    seqtransform._checked_tables.clear()
     yield
     extract._table_cache.clear()
+    seqtransform._checked_tables.clear()
 
 
 @pytest.fixture

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from balext import cli, extract
 from balext.cli import main
+from balext.core import TableParams
+from balext.extract import TablePolicy, build_table
 
 
 def run(capsys, *argv):
@@ -86,6 +89,26 @@ class TestGenVerify:
         assert "verify-failed" in err
         doc = json.loads((tmp_path / "rep.json").read_text())
         assert doc["passed"] is False and doc["witness"] is not None
+
+    @pytest.mark.parametrize("backend, n_exp, seed", [
+        ("random", 6, 7), ("keyed", 40, 2**127 + 5), ("canonical", 1, 3)])
+    def test_gen_table_builds_through_build_table(self, tmp_path, capsys,
+                                                  backend, n_exp, seed):
+        # gen-table builds uncached through the one policy-to-builder map,
+        # and for keyed tables --seed is the raw key
+        out = tmp_path / "t.btab"
+        code, stdout, _ = run(
+            capsys, "gen-table", "--n-exp", str(n_exp), "--m-exp", "2", "--s-exp", "1",
+            "--d-exp", "1", "--backend", backend, "--seed", str(seed), "--out", str(out),
+        )
+        assert code == 0
+        want = build_table(TableParams(n_exp, 2, 1, 1),
+                           TablePolicy(backend, seed=seed, key=seed))
+        assert out.read_bytes() == want.to_bytes()
+        assert stdout == f"backend={backend} digest={want.digest()}\n"
+        assert want.seed_or_key == (seed if backend != "canonical" else 0)
+        assert extract._table_cache == {}
+        assert not {"random_table", "keyed_table", "canonical_table"} & set(vars(cli))
 
     def test_sampled_threads_identical(self, tmp_path, capsys):
         out = tmp_path / "t.btab"

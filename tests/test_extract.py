@@ -139,11 +139,10 @@ class TestPolicy:
         params = TableParams(64, 58, 32, 58)
         assert table_for(params, keyed) is not table_for(params, keyed)
         assert extract._table_cache == {}
-        assert extract.cached_table(params, keyed) is None
         small = TableParams(4, 2, 2, 2)
-        assert extract.cached_table(small, TablePolicy(seed=4)) is None
         table = table_for(small, TablePolicy(seed=4))
-        assert extract.cached_table(small, TablePolicy(seed=4)) is table
+        assert extract._table_cache == {(small, "random", 4): table}
+        assert table_for(small, TablePolicy(kind="random", seed=4)) is table
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParams):

@@ -4,10 +4,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from balext import extract, seqtransform
+from balext import extract
 
 from balext.core import BitString, InvalidParams, OutOfRange, derive_seq_schedule
-from balext.extract import TablePolicy
+from balext.extract import TablePolicy, table_for
 from balext.seqtransform import (
     BitStringStream,
     BlockLayout,
@@ -33,6 +33,13 @@ STREAMS = {
     "bitstring": lambda: BitStringStream(BitString(stream_bits(7, 5000), 5000)),
     "counting": lambda: CountingBitStream(SeededBitStream(42)),
 }
+
+
+def constant_table(params, seed):
+    """A stand-in for ``random_table``: every cell has color 0."""
+    cells = np.zeros((params.n_side, params.n_side), dtype=np.uint8)
+    cells.setflags(write=False)
+    return BalancedTable(params, BACKEND_RANDOM, seed, cells)
 
 
 def b2_schedule(max_block=4):
@@ -154,7 +161,7 @@ class TestTransform:
         x, y = SeededBitStream(101), SeededBitStream(202)
         pol = TablePolicy(seed=3)
         z = transform_prefix(x, y, sched, 1, pol)  # m_2 = 1
-        t2 = block_table(sched, 2, pol, verify_samples=0)
+        t2 = block_table(sched, 2, pol)
         x2 = read_prefix(x, 6).substring(2, 6)
         y2 = read_prefix(y, 6).substring(2, 6)
         assert z.value == t2.lookup(x2.value, y2.value)
@@ -241,9 +248,9 @@ class TestBlockTables:
     def test_backend_escalation(self):
         sched = b2_schedule()
         pol = TablePolicy(seed=3)
-        assert block_table(sched, 2, pol, verify_samples=0).is_explicit
-        assert block_table(sched, 3, pol, verify_samples=0).is_explicit
-        assert not block_table(sched, 4, pol, verify_samples=0).is_explicit  # n=16 > cap 12
+        assert block_table(sched, 2, pol).is_explicit
+        assert block_table(sched, 3, pol).is_explicit
+        assert not block_table(sched, 4, pol).is_explicit  # n=16 > cap 12
 
     def test_blocks_share_one_table_cache(self, monkeypatch):
         # the explicit blocks 2 and 3 are built once, by the first transform;
@@ -274,12 +281,7 @@ class TestBlockTables:
         sched = derive_seq_schedule(F(1), F(1, 2), 2, 3)   # blocks 1-3 explicit
         pol = TablePolicy(seed=5)
 
-        def constant(params, seed, explicit_cap):
-            cells = np.zeros((params.n_side, params.n_side), dtype=np.uint8)
-            cells.setflags(write=False)
-            return BalancedTable(params, BACKEND_RANDOM, seed, cells)
-
-        monkeypatch.setattr(extract, "random_table", constant)
+        monkeypatch.setattr(extract, "random_table", constant_table)
 
         def run():
             SequenceTransformer(SeededBitStream(1), SeededBitStream(2), sched,
@@ -297,30 +299,21 @@ class TestBlockTables:
             run()
         assert [m.split(" explicit")[0] for m in caplog.messages] == ["block 2"] * 2
 
-    def test_table_evicted_after_the_peek_is_checked(self, caplog, monkeypatch):
-        # another thread may evict block 2 between block_table's peek and its
-        # table_for call; the rebuilt table is a new one and is checked
+    def test_table_another_caller_built_is_checked(self, caplog, monkeypatch):
+        # block 2's table enters the cache through a plain table_for call
+        # under the block's policy; block_table checks it the first time it
+        # gets it, and only then
         sched = derive_seq_schedule(F(1), F(1, 2), 2, 3)
         pol = TablePolicy(seed=5)
-
-        def constant(params, seed, explicit_cap):
-            cells = np.zeros((params.n_side, params.n_side), dtype=np.uint8)
-            cells.setflags(write=False)
-            return BalancedTable(params, BACKEND_RANDOM, seed, cells)
-
-        monkeypatch.setattr(extract, "random_table", constant)
-        block_table(sched, 2, pol, verify_samples=0)
-        peek = extract.cached_table
-
-        def peek_then_evict(params, policy):
-            table = peek(params, policy)
-            extract._table_cache.clear()
-            return table
-
-        monkeypatch.setattr(seqtransform, "cached_table", peek_then_evict)
+        monkeypatch.setattr(extract, "random_table", constant_table)
+        built = table_for(sched.block(2).table_params(),
+                          TablePolicy(seed=block_seed(pol.seed, 2)))
         with caplog.at_level(logging.WARNING, logger="balext.seqtransform"):
-            block_table(sched, 2, pol)
-        assert [m.split(" explicit")[0] for m in caplog.messages] == ["block 2"]
+            assert block_table(sched, 2, pol) is built
+            assert block_table(sched, 2, pol) is built
+        assert caplog.messages == [
+            "block 2 explicit table failed sampled prefix-balance check (worst ratio 4)"
+        ]
 
     def test_construction_warning_on_unbalanced_block(self, caplog):
         # tiny blocks pass vacuously; force a warning via an adversarial cap
@@ -329,25 +322,20 @@ class TestBlockTables:
         import logging
 
         with caplog.at_level(logging.WARNING):
-            block_table(sched, 2, pol, verify_samples=64)
+            block_table(sched, 2, pol)
         # warning may or may not fire depending on the draw; the call itself
         # must succeed either way
-        assert block_table(sched, 2, pol, verify_samples=0).is_explicit
+        assert block_table(sched, 2, pol).is_explicit
 
     def test_block_check_hashes_no_table(self, caplog, monkeypatch):
         # block_table reads only the report's verdict and worst ratio, and a
         # report hashes its table only when its digest is read
-        def constant(params, seed, explicit_cap):
-            cells = np.zeros((params.n_side, params.n_side), dtype=np.uint8)
-            cells.setflags(write=False)
-            return BalancedTable(params, BACKEND_RANDOM, seed, cells)
-
         def no_digest(self):
             raise AssertionError("the block check hashed its table")
 
         checked = []
         for sched, build in ((b2_schedule(), random_table),     # S < N: 16 samples
-                             (derive_seq_schedule(F(1), F(1, 2), 2, 3), constant)):
+                             (derive_seq_schedule(F(1), F(1, 2), 2, 3), constant_table)):
             with monkeypatch.context() as m:
                 m.setattr(extract, "_table_cache", {})
                 m.setattr(extract, "random_table", build)
@@ -380,22 +368,17 @@ class TestBlockTables:
                                           seed=block_seed(pol.seed, i))
                     for k in (1, 16)]
 
-        def constant(params, seed, explicit_cap):
-            cells = np.zeros((params.n_side, params.n_side), dtype=np.uint8)
-            cells.setflags(write=False)
-            return BalancedTable(params, BACKEND_RANDOM, seed, cells)
-
         for i in (1, 2, 3):
             params = sched.block(i).table_params()
             assert params.s_exp == params.n_exp
-            for table in (block_table(sched, i, pol, verify_samples=0),
-                          constant(params, 0, 12)):
+            for table in (block_table(sched, i, pol),
+                          constant_table(params, 0)):
                 one, sixteen = checks(table, i)
                 assert (one.passed, one.worst_ratio) == (sixteen.passed, sixteen.worst_ratio)
         # the block 2 table built above is cached; start from an empty
         # cache so that table_for builds block 2 with the patched builder
         monkeypatch.setattr(extract, "_table_cache", {})
-        monkeypatch.setattr(extract, "random_table", constant)
+        monkeypatch.setattr(extract, "random_table", constant_table)
         with caplog.at_level(logging.WARNING, logger="balext.seqtransform"):
             table = block_table(sched, 2, pol)
         _, sixteen = checks(table, 2)

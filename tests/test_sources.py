@@ -401,15 +401,7 @@ class TestExperiment:
         pol = TablePolicy(kind="random", seed=42)
         a = run_extraction_experiment(spec, 500, pol)
         b = run_extraction_experiment(spec, 500, pol)
-        c = run_extraction_experiment(spec, 500, pol, threads=4)
-        assert a == b == c
-
-    def test_threads_below_one_rejected(self):
-        spec = PlantedPairSpec(12, F(1, 2), F(1, 8), seed=4)
-        for threads in (0, -1):
-            with pytest.raises(InvalidParams, match="threads"):
-                run_extraction_experiment(spec, 10, TablePolicy(kind="random", seed=42),
-                                          threads=threads)
+        assert a == b
 
     def test_single_trial_flags_insufficient(self):
         spec = PlantedPairSpec(12, F(1, 2), F(0), seed=1)
@@ -456,17 +448,24 @@ class TestBatchedTrials:
                     args = (spec, table, 7, MatchCompressor(), 9, 150)
                     assert sources._experiment_chunk(*args) == experiment_chunk_oracle(*args)
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("chunks", [1])
     @pytest.mark.parametrize("kind", ["auto", "keyed"])
     @pytest.mark.parametrize("n", [12, 63, 64, 65, 256])
-    def test_report_bytes_equal_oracle(self, tmp_path, monkeypatch, n, kind, threads):
+    def test_report_bytes_equal_oracle(self, tmp_path, monkeypatch, n, kind, chunks):
+        # every experiment runs its trials as ``chunks`` runs of the chunk body
         batched = sources._experiment_chunk
         trials = 40 if n > 64 else 200
 
         def report_bytes(spec, chunk):
-            monkeypatch.setattr(sources, "_experiment_chunk", chunk)
-            rep = run_extraction_experiment(spec, trials, TablePolicy(kind=kind, seed=5),
-                                            threads=threads)
+            runs = []
+
+            def counted(*args):
+                runs.append(args[-2:])
+                return chunk(*args)
+
+            monkeypatch.setattr(sources, "_experiment_chunk", counted)
+            rep = run_extraction_experiment(spec, trials, TablePolicy(kind=kind, seed=5))
+            assert len(runs) == chunks and sum(count for _, count in runs) == trials
             rep.write_csv(tmp_path / "rows.csv")
             return (tmp_path / "rows.csv").read_bytes(), rep.to_json()
 

@@ -248,10 +248,11 @@ class TestCanonicalTable:
         t = canonical_table(TableParams(1, 1, 1, 1))
         assert t.cells.ravel().tolist() == [0, 0, 0, 0]
 
-    def test_n4_m4_first_balanced(self):
+    def test_n4_m4_first_balanced(self, monkeypatch):
         # every color count <= 2*(1/4)*16 = 8: the first qualifying sequence
         # is eight 0s followed by eight 1s
-        t = canonical_table(TableParams(2, 2, 2, 2), micro_cap=32)
+        monkeypatch.setattr(tables, "MICRO_DESCRIPTION_CAP", 32)
+        t = canonical_table(TableParams(2, 2, 2, 2))
         assert t.cells.ravel().tolist() == [0] * 8 + [1] * 8
 
     def test_cap(self):
@@ -262,17 +263,6 @@ class TestCanonicalTable:
         # S=1, D=4: a single cell carries its color once, 1 * 4 > 2 * 1
         with pytest.raises(NotFound):
             canonical_table(TableParams(1, 2, 0, 2))
-
-    def test_injected_verifier(self):
-        calls = []
-
-        def verifier(t):
-            calls.append(1)
-            return len(calls) == 3
-
-        t = canonical_table(TableParams(1, 1, 1, 1), verifier)
-        assert len(calls) == 3
-        assert t.cells.ravel().tolist() == [0, 0, 1, 0]
 
 
 class TestSerialization:
