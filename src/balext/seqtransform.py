@@ -24,7 +24,6 @@ larger blocks get keyed tables.
 from __future__ import annotations
 
 import bisect
-import logging
 import weakref
 from dataclasses import dataclass, field, replace
 from typing import Protocol, runtime_checkable
@@ -33,8 +32,6 @@ from .core import BitString, InvalidParams, OutOfRange, SeqSchedule
 from .extract import TablePolicy, table_for
 from .mixing import stream_bits, stream_value
 from .tables import BalancedTable
-
-logger = logging.getLogger(__name__)
 
 _BLOCK_CHECK_SAMPLES = 16
 # explicit block tables already checked, by identity: a table rebuilt after
@@ -213,7 +210,9 @@ def block_table(
             seed=seed,
         )
         if not report.passed:
-            logger.warning(
+            import logging     # on first use: it costs process start otherwise
+
+            logging.getLogger(__name__).warning(
                 "block %d explicit table failed sampled prefix-balance check "
                 "(worst ratio %s)", i, report.worst_ratio,
             )

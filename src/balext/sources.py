@@ -25,6 +25,7 @@ import functools
 import itertools
 import json
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -346,20 +347,23 @@ class MatchCompressor:
 
     ``estimate`` remembers the cost of each (value, length) it has parsed,
     up to ``_MEMO_MAX`` entries per instance; the memo starts over when
-    full.  ``cost_bits`` always parses.
+    full.  Threads may share an instance: the check for a full memo and the
+    insert run under one lock.  ``cost_bits`` always parses.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple[int, int], int] = {}
+        self._memo_lock = threading.Lock()
 
     def estimate(self, s: BitString) -> float:
         key = (s.value, s.length)
         cost = self._memo.get(key)
         if cost is None:
             cost = self.cost_bits(s)
-            if len(self._memo) >= _MEMO_MAX:
-                self._memo.clear()
-            self._memo[key] = cost
+            with self._memo_lock:
+                if len(self._memo) >= _MEMO_MAX:
+                    self._memo.clear()
+                self._memo[key] = cost
         return float(cost)
 
     def cost_bits(self, s: BitString) -> int:

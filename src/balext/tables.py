@@ -5,7 +5,10 @@ Three backends produce a table T : [N] x [N] -> [M]:
 * explicit-random: cells drawn from seeded SplitMix64 streams, one stream
   per row.  Row r's stream is ``substream(seed, r)``; the color of cell
   (r, c) is the low m_exp bits of that stream's c-th output.  Bit-exact
-  across platforms and runs.
+  across platforms and runs.  A fill of more than 2^20 cells splits its
+  rows into contiguous ranges, one per usable CPU up to 2, filled on a
+  thread pool; since a cell depends only on (seed, row, col), the cells
+  are the same for any number of workers.
 * explicit-canonical: exhaustive search, in lexicographic order of the
   row-major color sequence, for the first table passing exhaustive
   (S, D)-balance verification.  Only feasible at micro scale.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,6 +69,13 @@ EXPLICIT_M_EXP_CAP = 16      # colors must fit the 1/2-byte cell storage
 MICRO_DESCRIPTION_CAP = 24   # canonical search cap on N*N*m_exp bits
 _CONDITION_EXP_CAP = 0xFFFF   # existence check: 2**cap is an 8 KB integer
 _FILL_CHUNK = 1 << 16        # cells per fill step: its two uint64 buffers stay in cache
+_SERIAL_FILL_CELLS = 1 << 20  # fills up to this size run on the calling thread alone
+_FILL_MAX_WORKERS = 2         # each worker holds two _FILL_CHUNK uint64 buffers (1 MB);
+                              # more workers have been timed only on 2 CPUs
+try:                          # fill threads: the CPUs this process may run on
+    _FILL_WORKERS = min(_FILL_MAX_WORKERS, len(os.sched_getaffinity(0)))
+except AttributeError:        # no affinity call on this platform
+    _FILL_WORKERS = min(_FILL_MAX_WORKERS, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +360,35 @@ def _random_cells(seed: int, n_exp: int, m_exp: int) -> np.ndarray:
     # The fill runs in place: each chunk's SplitMix steps reuse two uint64
     # buffers, and the last xor writes straight into the cells, keeping the
     # low 8 or 16 bits; the mask then runs on the narrow cells, and only
-    # when m_exp is below their width.
+    # when m_exp is below their width.  A large fill splits its rows into
+    # contiguous ranges, one per worker thread (numpy's ufuncs release the
+    # GIL); every cell depends only on (seed, row, col), so the cells do not
+    # depend on the split.  The buffers are allocated here, on the calling
+    # thread, so that they do not stay resident in per-thread arenas.
     chunk = min(n_side, max(1, _FILL_CHUNK // n_side))
-    z_buf = np.empty((chunk, n_side), dtype=np.uint64)
-    tmp_buf = np.empty_like(z_buf)
     narrow_mask = dtype.type((1 << m_exp) - 1) if m_exp < 8 * dtype.itemsize else None
-    for r0 in range(0, n_side, chunk):
-        r1 = min(n_side, r0 + chunk)
-        z = np.add(row_states[r0:r1, None], ks, out=z_buf[:r1 - r0])
-        cells = scramble_inplace(z, tmp_buf[:r1 - r0], out=out[r0:r1])
-        if narrow_mask is not None:
-            cells &= narrow_mask
+    workers = 1 if n_side * n_side <= _SERIAL_FILL_CELLS else _FILL_WORKERS
+    per = -(-n_side // workers)
+    starts = range(0, n_side, per)
+    buffers = [np.empty((2, chunk, n_side), dtype=np.uint64) for _ in starts]
+
+    def fill(k: int) -> None:
+        z_buf, tmp_buf = buffers[k]
+        stop = min(n_side, starts[k] + per)
+        for r0 in range(starts[k], stop, chunk):
+            r1 = min(stop, r0 + chunk)
+            z = np.add(row_states[r0:r1, None], ks, out=z_buf[:r1 - r0])
+            cells = scramble_inplace(z, tmp_buf[:r1 - r0], out=out[r0:r1])
+            if narrow_mask is not None:
+                cells &= narrow_mask
+
+    if len(starts) == 1:
+        fill(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=len(starts)) as pool:
+            list(pool.map(fill, range(len(starts))))
     out.setflags(write=False)
     return out
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -522,6 +521,8 @@ def _run_sampled(table: BalancedTable, rule: _Rule, samples: int, seed: int,
     if threads == 1 or len(starts) == 1:
         results = [run(s0) for s0 in starts]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, starts))
     worst = max(num for num, _ in results)

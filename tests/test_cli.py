@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -467,6 +470,19 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--" in out and "usage" in out.lower()
+
+
+class TestProcessStart:
+    def test_import_leaves_logging_and_futures_unloaded(self):
+        # both load on first use, so importing the CLI does not pay for them
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys, balext, balext.cli; "
+                "print(sorted({'logging', 'concurrent.futures'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 # Flag values for the argv fuzz.  Every pool keeps a run small: no pool

@@ -1,6 +1,10 @@
+import concurrent.futures
 import hashlib
 import math
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -155,6 +159,101 @@ class TestRandomTable:
             t.lookup(8, 0)
         with pytest.raises(OutOfRange):
             t.lookup(0, -1)
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+class TestParallelFill:
+    """A large fill splits its rows into one range per worker; the cells
+    must not depend on how many there are."""
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("m_exp", [1, 4, 8, 16])
+    @pytest.mark.parametrize("n_exp", [3, 10, 11, 12])
+    def test_cells_do_not_depend_on_worker_count(self, monkeypatch, n_exp, m_exp, seed):
+        # the serial limit is lifted, so that the small tables split too
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(tables, "_SERIAL_FILL_CELLS", 0)
+        n_side, mask = 1 << n_exp, (1 << m_exp) - 1
+        fills = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tables, "_FILL_WORKERS", workers)
+            _RecordingPool.sizes = []
+            fills.append(tables._random_cells(seed, n_exp, m_exp))
+            assert _RecordingPool.sizes == ([workers] if workers > 1 else [])
+        want = fills[0]
+        assert want.dtype == (np.uint8 if m_exp <= 8 else np.uint16)
+        for got in fills[1:]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # the rows on both sides of every range boundary, for 2 and 3 workers
+        rows = {0, n_side - 1}
+        for workers in (2, 3):
+            per = -(-n_side // workers)
+            rows |= {r for b in range(per, n_side, per) for r in (b - 1, b)}
+        for r in sorted(rows):
+            state = stream_value(seed, r)
+            for c in (0, 1, n_side // 2, n_side - 1):
+                assert int(want[r, c]) == stream_value(state, c) & mask
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    @pytest.mark.parametrize("n_exp", [1, 3, 6])
+    def test_ranges_of_a_few_rows(self, monkeypatch, n_exp, workers):
+        # with the serial limit lifted, small tables split into ranges that
+        # end inside a fill chunk, and into fewer ranges than workers
+        seed, n_side = 0xF111, 1 << n_exp
+        monkeypatch.setattr(tables, "_SERIAL_FILL_CELLS", 0)
+        monkeypatch.setattr(tables, "_FILL_WORKERS", workers)
+        cells = tables._random_cells(seed, n_exp, 5)
+        for r in range(n_side):
+            want = stream_block_np(stream_value(seed, r), 0, n_side) & 31
+            assert np.array_equal(cells[r], want)
+
+    def test_concurrent_fills_agree(self, monkeypatch):
+        # two fills at once, each on three workers: more threads than cores
+        monkeypatch.setattr(tables, "_FILL_WORKERS", 3)
+        p = TableParams(12, 4, 6, 1)
+        barrier = threading.Barrier(2, timeout=60)
+        got = [None, None]
+
+        def build(i):
+            barrier.wait()
+            got[i] = random_table(p, 0xABC).cells
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got[0] is not got[1]
+        assert np.array_equal(got[0], got[1])
+        monkeypatch.setattr(tables, "_FILL_WORKERS", 1)
+        assert np.array_equal(got[0], tables._random_cells(0xABC, 12, 4))
+        assert int(got[0][4095, 17]) == stream_value(stream_value(0xABC, 4095), 17) & 15
+
+    def test_small_fill_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a small fill started a thread")
+
+        monkeypatch.setattr(tables, "_FILL_WORKERS", 4)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert tables._SERIAL_FILL_CELLS == 1 << 20
+        for n_exp in (1, 8, 10):
+            random_table(TableParams(n_exp, 8, 1, 1), 3)
+        with pytest.raises(AssertionError, match="started a thread"):
+            random_table(TableParams(11, 8, 1, 1), 3)
 
 
 class TestKeyedTable:
