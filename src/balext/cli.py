@@ -75,9 +75,12 @@ def _int_auto(text: str) -> int:
 
 def _cmd_gen_table(args) -> int:
     params = TableParams(args.n_exp, args.m_exp, args.s_exp, args.d_exp)
-    # uncached: a table written to a file is not worth keeping in memory
+    # uncached: a table written to a file is not kept; written from its cell buffer
     table = build_table(params, TablePolicy(args.backend, seed=args.seed, key=args.seed))
-    _write_bytes(args.out, table.to_bytes())
+    try:
+        table.write(args.out)
+    except OSError as e:
+        raise _CliError(EXIT_IO, "io", f"cannot write {args.out}: {e}") from e
     print(f"backend={table.backend_name} digest={table.digest()}")
     return EXIT_OK
 

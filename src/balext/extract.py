@@ -34,6 +34,7 @@ from .tables import (
     EXPLICIT_N_EXP_CAP,
     BalancedTable,
     canonical_table,
+    cell_dtype,
     key_from_seed,
     keyed_table,
     random_table,
@@ -55,8 +56,7 @@ class TablePolicy:
         """The kind of table this policy gives for these params: "auto" is
         random when the shape fits the explicit caps and keyed otherwise."""
         if self.kind == "auto":
-            fits = params.n_exp <= EXPLICIT_N_EXP_CAP and params.m_exp <= EXPLICIT_M_EXP_CAP
-            return "random" if fits else "keyed"
+            return "random" if _fits_explicit(params) else "keyed"
         if self.kind not in ("random", "keyed", "canonical"):
             raise InvalidParams(f"unknown table policy kind {self.kind!r}")
         return self.kind
@@ -65,7 +65,12 @@ class TablePolicy:
 _table_cache: dict[tuple, BalancedTable] = {}
 _table_cache_lock = threading.Lock()
 _TABLE_CACHE_MAX = 8
-_TABLE_CACHE_MAX_BYTES = 1 << 25   # cell bytes kept beyond the newest table
+# cell bytes of all cached tables, newest included: one largest one-byte table
+_TABLE_CACHE_MAX_BYTES = 1 << 2 * EXPLICIT_N_EXP_CAP
+
+
+def _fits_explicit(params: TableParams) -> bool:
+    return params.n_exp <= EXPLICIT_N_EXP_CAP and params.m_exp <= EXPLICIT_M_EXP_CAP
 
 
 def build_table(params: TableParams, policy: TablePolicy) -> BalancedTable:
@@ -90,8 +95,11 @@ def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
     to reconstructing the table on every call.  Only tables with cells are
     cached, keyed by (params, kind, seed): a keyed table is built in O(1)
     and never evicts one that cost a fill.  The cache keeps at most
-    ``_TABLE_CACHE_MAX`` tables and, apart from the newest one, at most
-    ``_TABLE_CACHE_MAX_BYTES`` of cells; the oldest entries go first.
+    ``_TABLE_CACHE_MAX`` tables and ``_TABLE_CACHE_MAX_BYTES`` of cells,
+    the newest table's included; a larger table is cached on its own.  The
+    oldest entries go first, before a random fill the explicit caps accept
+    (so no fill runs beside tables it would evict) and after every build
+    (since concurrent builders may overshoot).
     """
     kind = policy.kind_for(params)
     if kind == "keyed":
@@ -100,6 +108,10 @@ def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
     with _table_cache_lock:
         if key in _table_cache:
             return _table_cache[key]
+        if kind == "random" and _fits_explicit(params):
+            need = params.n_side ** 2 * cell_dtype(params.m_exp).itemsize
+            while _table_cache and _cached_cell_bytes() + need > _TABLE_CACHE_MAX_BYTES:
+                _table_cache.pop(next(iter(_table_cache)))
     table = build_table(params, policy)
     with _table_cache_lock:
         _table_cache.pop(key, None)

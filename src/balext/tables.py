@@ -23,9 +23,11 @@ The binary file format (little-endian) is:
     s_exp u8 | d_exp u8 | seed/key 16 bytes zero-padded |
     row-major cells at 8 or 16 bits per cell (explicit backends only)
 
-Cells use 1 byte when m_exp <= 8, else 2 bytes.  Readers reject unknown
-versions and backend tags, and files shorter than the 27-byte header.
-Exponents beyond 255 cannot be serialized.
+Cells use 1 byte when m_exp <= 8, else 2 bytes (:func:`cell_dtype`).
+Readers reject unknown versions and backend tags, and files shorter than
+the 27-byte header.  Exponents beyond 255 cannot be serialized, and no file
+is created for them.  File I/O holds the cells once: writing sends the cell
+buffer itself after the header, and reading copies the payload out once.
 
 A table's digest is the SHA-256 of its file bytes.  A table with an
 exponent beyond 255 (a keyed table for 256-bit inputs, say) has no file,
@@ -230,8 +232,9 @@ def keyed_colors_grid(
 # ---------------------------------------------------------------------------
 
 
-def _cell_dtype(m_exp: int) -> np.dtype:
-    return np.dtype(np.uint8) if m_exp <= 8 else np.dtype(np.uint16)
+def cell_dtype(m_exp: int) -> np.dtype:
+    """The cells' type in memory and in files: uint8, else little-endian uint16."""
+    return np.dtype(np.uint8) if m_exp <= 8 else np.dtype("<u2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,8 +286,7 @@ class BalancedTable:
         """The cells in file byte order, a view whenever they already are."""
         if self.cells is None:
             return None
-        dt = np.uint8 if self.params.m_exp <= 8 else np.dtype("<u2")
-        return np.ascontiguousarray(self.cells, dtype=dt)
+        return np.ascontiguousarray(self.cells, dtype=cell_dtype(self.params.m_exp))
 
     def to_bytes(self) -> bytes:
         header = self._header(_FILE_HEADER)
@@ -308,25 +310,28 @@ class BalancedTable:
             raise InvalidParams(f"unknown backend tag {backend}")
         seed_or_key = int.from_bytes(data[11:27], "little")
         params = TableParams(n_exp, m_exp, s_exp, d_exp)
-        body = data[27:]
+        payload = len(data) - HEADER_BYTES
         if backend == BACKEND_KEYED:
-            if body:
+            if payload:
                 raise InvalidParams("keyed table file carries unexpected cell data")
             return cls(params, backend, seed_or_key, None)
         n_side = params.n_side
-        width = 1 if m_exp <= 8 else 2
-        if len(body) != n_side * n_side * width:
+        dt = cell_dtype(m_exp)
+        if payload != n_side * n_side * dt.itemsize:
             raise InvalidParams("cell payload size does not match header")
-        dt = np.uint8 if width == 1 else np.dtype("<u2")
-        cells = np.frombuffer(body, dtype=dt).reshape(n_side, n_side).copy()
+        cells = np.frombuffer(data, dt, offset=HEADER_BYTES).reshape(n_side, n_side).copy()
         if int(cells.max(initial=0)) >= params.m_colors:
             raise InvalidParams("cell payload contains out-of-range colors")
         cells.setflags(write=False)
         return cls(params, backend, seed_or_key, cells)
 
     def write(self, path) -> None:
+        """The header (refused before the file opens), then the cell buffer."""
+        header, body = self._header(_FILE_HEADER), self._body()
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.write(header)
+            if body is not None:
+                fh.write(body)
 
     @classmethod
     def read(cls, path) -> "BalancedTable":
@@ -349,7 +354,7 @@ class BalancedTable:
 
 def _random_cells(seed: int, n_exp: int, m_exp: int) -> np.ndarray:
     n_side = 1 << n_exp
-    dtype = _cell_dtype(m_exp)
+    dtype = cell_dtype(m_exp)
     out = np.empty((n_side, n_side), dtype=dtype)
     # row r's stream state is output r of the master stream
     row_states = scramble_np(
@@ -428,7 +433,7 @@ def canonical_table(params: TableParams) -> BalancedTable:
         )
     m_colors = params.m_colors
     mask = m_colors - 1
-    dtype = _cell_dtype(params.m_exp)
+    dtype = cell_dtype(params.m_exp)
     for value in range(1 << description_bits):
         flat = [
             (value >> (params.m_exp * (ncells - 1 - i))) & mask for i in range(ncells)

@@ -2,9 +2,10 @@
 all-colorset balance oracle, scalar per-rectangle check oracles, a scalar
 partial Fisher-Yates, a dict-based oracle for the MatchCompressor parse,
 a one-trial-at-a-time oracle for planted experiments and a per-word
-oracle for the keyed mixing function.  Every test starts and ends with an
-empty table cache."""
+oracle for the keyed mixing function, and a tracemalloc peak.  Every test
+starts and ends with an empty table cache."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -252,6 +253,17 @@ def keyed_color_oracle(key: int, n_exp: int, m_exp: int, row: int, col: int) -> 
     for t in range((m_exp + 63) // 64):
         color |= stream_value(h, t) << (64 * t)
     return color & ((1 << m_exp) - 1)
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs; numpy
+    buffers are traced."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(autouse=True)

@@ -204,6 +204,27 @@ class TestGenVerify:
         assert code == 3
         assert err.startswith("error: io:")
 
+    def test_gen_table_into_missing_directory_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "no" / "t.btab"
+        code, stdout, err = run(
+            capsys, "gen-table", "--n-exp", "3", "--m-exp", "2", "--s-exp", "2",
+            "--d-exp", "1", "--seed", "5", "--out", str(out),
+        )
+        assert code == 3 and stdout == ""
+        assert err.startswith(f"error: io: cannot write {out}: ")
+        assert err.count("\n") == 1
+
+    def test_gen_table_beyond_file_format_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "wide.btab"
+        code, stdout, err = run(
+            capsys, "gen-table", "--n-exp", "300", "--m-exp", "8", "--s-exp", "4",
+            "--d-exp", "3", "--backend", "keyed", "--out", str(out),
+        )
+        assert code == 1 and stdout == ""
+        assert err == ("error: invalid-params: n_exp = 300 exceeds "
+                       "file-format range (255)\n")
+        assert not out.exists()
+
     def test_keyed_gen(self, tmp_path, capsys):
         out = tmp_path / "k.btab"
         code, stdout, _ = run(

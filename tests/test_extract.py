@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_traced_bytes
+
 from balext import extract
-from balext.core import BitString, InvalidParams
+from balext.core import BitString, InvalidParams, NotFound, TooLarge
 from balext.extract import TablePolicy, extract_conditional, extract_string, table_for
 from balext.core import TableParams, derive_string_params
 
@@ -90,14 +92,53 @@ class TestExtractString:
 
 
     def test_cache_bounded_by_cell_bytes(self):
+        # the bound covers every cached cell, the newest table's included:
+        # after three 16 MB tables only the newest is left
         params = TableParams(12, 8, 4, 2)     # 2^24 one-byte cells each
+        assert extract._TABLE_CACHE_MAX_BYTES == 1 << 24
         for seed in (101, 102, 103):
             newest = table_for(params, TablePolicy(kind="random", seed=seed))
-        cached = [t.cells.nbytes for t in extract._table_cache.values()
-                  if t.cells is not None]
-        assert sum(cached) <= extract._TABLE_CACHE_MAX_BYTES
-        assert len(extract._table_cache) <= extract._TABLE_CACHE_MAX
+        assert list(extract._table_cache.values()) == [newest]
+        assert sum(t.cells.nbytes for t in extract._table_cache.values()) == 1 << 24
         assert table_for(params, TablePolicy(kind="random", seed=103)) is newest
+
+    def test_room_is_made_before_the_fill(self):
+        # three 16 MB tables built in turn never hold more than one of them
+        # at a time, besides the fill's scratch (1 MB per fill worker)
+        params = TableParams(12, 8, 4, 2)
+
+        def build_three():
+            for seed in (101, 102, 103):
+                table_for(params, TablePolicy(kind="random", seed=seed))
+
+        peak = peak_traced_bytes(build_three)
+        assert peak <= (16 + 2 + 1) << 20, peak / 2**20
+
+    def test_small_tables_share_the_budget(self):
+        small = [table_for(TableParams(8, 8, 4, 2), TablePolicy(kind="random", seed=s))
+                 for s in range(3)]
+        assert list(extract._table_cache.values()) == small
+        big = table_for(TableParams(12, 8, 4, 2), TablePolicy(kind="random", seed=1))
+        assert list(extract._table_cache.values()) == [big]
+        # a table larger than the budget is still cached, on its own
+        wide = table_for(TableParams(12, 9, 4, 2), TablePolicy(kind="random", seed=1))
+        assert list(extract._table_cache.values()) == [wide]
+
+    @pytest.mark.parametrize("params, kind", [
+        (TableParams(13, 8, 4, 2), "random"),      # beyond the explicit side cap
+        (TableParams(4, 17, 2, 2), "random"),      # beyond the explicit color cap
+        (TableParams(1, 2, 0, 2), "canonical"),    # no balanced table exists
+    ])
+    def test_refused_build_evicts_nothing(self, params, kind):
+        for seed in (1, 2):
+            table_for(TableParams(12, 8, 4, 2), TablePolicy(kind="random", seed=seed))
+        table_for(TableParams(3, 2, 2, 1), TablePolicy(kind="random", seed=1))
+        before = list(extract._table_cache.items())
+        with pytest.raises((TooLarge, NotFound)):
+            table_for(params, TablePolicy(kind=kind, seed=3))
+        after = list(extract._table_cache.items())
+        assert [k for k, _ in after] == [k for k, _ in before]
+        assert all(a is b for (_, a), (_, b) in zip(after, before))
 
 
 class TestExtractConditional:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import keyed_color_oracle
+from conftest import keyed_color_oracle, peak_traced_bytes
 
 from balext.core import InvalidParams, NotFound, OutOfRange, TableParams, TooLarge
 from balext.mixing import stream_block_np, stream_value
@@ -465,6 +465,69 @@ class TestSerialization:
         path = tmp_path / "t.btab"
         t.write(path)
         assert BalancedTable.read(path).digest() == t.digest()
+
+
+class TestFileContract:
+    """The table file's bytes, cells and refusals, and the memory its
+    reading and writing take."""
+
+    @pytest.mark.parametrize("m_exp, dtype", [
+        (1, np.uint8), (4, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16)])
+    def test_roundtrip_is_byte_identical(self, tmp_path, m_exp, dtype):
+        t = random_table(TableParams(5, m_exp, 2, 1), seed=m_exp)
+        data = t.to_bytes()
+        assert len(data) == tables.HEADER_BYTES + 32 * 32 * np.dtype(dtype).itemsize
+        path = tmp_path / "t.btab"
+        t.write(path)
+        assert path.read_bytes() == data
+        for back in (BalancedTable.from_bytes(data), BalancedTable.read(path)):
+            assert back.to_bytes() == data
+            assert back.cells.dtype == t.cells.dtype == dtype
+            assert not back.cells.flags.writeable and not t.cells.flags.writeable
+            assert np.array_equal(back.cells, t.cells)
+
+    @staticmethod
+    def _edited(data: bytes, at: int, value: int) -> bytes:
+        blob = bytearray(data)
+        blob[at] = value
+        return bytes(blob)
+
+    def test_each_refusal_keeps_its_message(self):
+        data = random_table(TableParams(3, 2, 2, 1), 4).to_bytes()
+        keyed = keyed_table(TableParams(40, 8, 4, 3), key=5).to_bytes()
+        cases = [
+            (b"NOPE" + bytes(23), "not a table file (bad magic)"),
+            (data[:5], "truncated table file: 5 bytes, header needs 27"),
+            (self._edited(data, 4, 0xFF), "unsupported table format version 255"),
+            (self._edited(data, 6, 7), "unknown backend tag 7"),
+            (keyed + b"\x00", "keyed table file carries unexpected cell data"),
+            (data[:-1], "cell payload size does not match header"),
+            (data + b"\x00", "cell payload size does not match header"),
+            (self._edited(data, 30, 4), "cell payload contains out-of-range colors"),
+        ]
+        for blob, message in cases:
+            with pytest.raises(InvalidParams) as e:
+                BalancedTable.from_bytes(blob)
+            assert str(e.value) == message
+
+    def test_refused_header_creates_no_file(self, tmp_path):
+        path = tmp_path / "wide.btab"
+        with pytest.raises(InvalidParams) as e:
+            keyed_table(TableParams(300, 9, 40, 3), key=1).write(path)
+        assert str(e.value) == "n_exp = 300 exceeds file-format range (255)"
+        assert not path.exists()
+
+    def test_write_and_read_hold_the_cells_once(self, tmp_path):
+        # a 2^24-cell table: writing copies none of its cells, and reading
+        # holds the file's bytes and the cell array, nothing more
+        t = random_table(TableParams(12, 8, 4, 2), seed=6)
+        path = tmp_path / "big.btab"
+        assert peak_traced_bytes(lambda: t.write(path)) < 1 << 20
+        assert path.stat().st_size == tables.HEADER_BYTES + (1 << 24)
+        back = []
+        peak = peak_traced_bytes(lambda: back.append(BalancedTable.read(path)))
+        assert peak <= (2 << 24) + (1 << 20), peak / 2**20
+        assert back[0].digest() == t.digest()
 
 
 @settings(max_examples=30)

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,18 +25,10 @@ from conftest import (
     dominant_check_oracle,
     naive_balance_oracle,
     partial_shuffle_oracle,
+    peak_traced_bytes,
     prefix_check_oracle,
     structured_table,
 )
-
-
-def _peak_bytes(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestDominantSubsetEquivalence:
@@ -249,7 +240,7 @@ class TestExhaustive:
         def peak(n_exp):
             t = random_table(TableParams(n_exp, 4, 1, 2), 1)
             verify_exhaustive(t, 1, 2)           # caches the enumeration
-            return _peak_bytes(lambda: verify_exhaustive(t, 1, 2))
+            return peak_traced_bytes(lambda: verify_exhaustive(t, 1, 2))
 
         few, many = peak(5), peak(6)
         assert many < few + (256 << 10)
@@ -385,12 +376,12 @@ class TestSampled:
     def test_keyed_memory_is_independent_of_n(self):
         # a samples x N draw array would be 400 MB here
         t = keyed_table(TableParams(20, 8, 8, 3), key=key_from_seed(3))
-        assert _peak_bytes(lambda: verify_sampled(t, 8, 3, 48, seed=1)) < 8 << 20
+        assert peak_traced_bytes(lambda: verify_sampled(t, 8, 3, 48, seed=1)) < 8 << 20
 
     def test_explicit_memory_is_independent_of_samples(self):
         t = random_table(TableParams(10, 4, 6, 3), 1)
-        few = _peak_bytes(lambda: verify_sampled(t, 6, 3, 1_000, seed=1))
-        many = _peak_bytes(lambda: verify_sampled(t, 6, 3, 10_000, seed=1))
+        few = peak_traced_bytes(lambda: verify_sampled(t, 6, 3, 1_000, seed=1))
+        many = peak_traced_bytes(lambda: verify_sampled(t, 6, 3, 10_000, seed=1))
         assert many < few + (256 << 10)
         assert many < 4 << 20
 
