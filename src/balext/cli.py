@@ -75,7 +75,7 @@ def _int_auto(text: str) -> int:
 
 def _cmd_gen_table(args) -> int:
     params = TableParams(args.n_exp, args.m_exp, args.s_exp, args.d_exp)
-    # uncached: a table written to a file is not kept; written from its cell buffer
+    # uncached: a table written to a file is not kept; the write also gives the digest
     table = build_table(params, TablePolicy(args.backend, seed=args.seed, key=args.seed))
     try:
         table.write(args.out)

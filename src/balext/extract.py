@@ -7,10 +7,12 @@ complexity guarantee itself is uncomputable and is never a postcondition;
 the sources module provides the statistical stand-in.
 
 Table policy: "canonical" works at micro scale only (descriptions up to
-``tables.MICRO_DESCRIPTION_CAP`` bits), "random" materializes a seeded
-explicit table up to ``tables.EXPLICIT_N_EXP_CAP``, "keyed" computes
-colors on demand at any size, and "auto" picks random when the shape fits
-that cap and keyed otherwise (keyed key expanded from the seed).
+``tables.MICRO_DESCRIPTION_CAP`` bits), "random" gives a seeded explicit
+table up to ``tables.EXPLICIT_N_EXP_CAP`` (its cells held up to 2^20
+cells, computed from the seed's formula beyond, so a 12-bit extraction
+fills nothing), "keyed" computes colors on demand at any size, and "auto"
+picks random when the shape fits that cap and keyed otherwise (keyed key
+expanded from the seed).
 :func:`build_table` is the one builder behind a policy, and
 :func:`table_for` is the one cache around it, for the extractors, the
 experiments and the sequence transformer alike.
@@ -34,7 +36,6 @@ from .tables import (
     EXPLICIT_N_EXP_CAP,
     BalancedTable,
     canonical_table,
-    cell_dtype,
     key_from_seed,
     keyed_table,
     random_table,
@@ -65,8 +66,6 @@ class TablePolicy:
 _table_cache: dict[tuple, BalancedTable] = {}
 _table_cache_lock = threading.Lock()
 _TABLE_CACHE_MAX = 8
-# cell bytes of all cached tables, newest included: one largest one-byte table
-_TABLE_CACHE_MAX_BYTES = 1 << 2 * EXPLICIT_N_EXP_CAP
 
 
 def _fits_explicit(params: TableParams) -> bool:
@@ -92,14 +91,13 @@ def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
     sequence transformer get their tables here.
 
     Cached instances are immutable, so this is observationally identical
-    to reconstructing the table on every call.  Only tables with cells are
+    to reconstructing the table on every call.  Only explicit tables are
     cached, keyed by (params, kind, seed): a keyed table is built in O(1)
-    and never evicts one that cost a fill.  The cache keeps at most
-    ``_TABLE_CACHE_MAX`` tables and ``_TABLE_CACHE_MAX_BYTES`` of cells,
-    the newest table's included; a larger table is cached on its own.  The
-    oldest entries go first, before a random fill the explicit caps accept
-    (so no fill runs beside tables it would evict) and after every build
-    (since concurrent builders may overshoot).
+    and never evicts one that cost a fill or carries a digest.  The cache
+    keeps the newest ``_TABLE_CACHE_MAX`` tables.  A random table holds
+    its cells only up to 2^20 of them, two bytes each at most, so the
+    cache holds at most 16 MB of cells; a larger random table is a
+    formula and holds none.
     """
     kind = policy.kind_for(params)
     if kind == "keyed":
@@ -108,24 +106,13 @@ def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
     with _table_cache_lock:
         if key in _table_cache:
             return _table_cache[key]
-        if kind == "random" and _fits_explicit(params):
-            need = params.n_side ** 2 * cell_dtype(params.m_exp).itemsize
-            while _table_cache and _cached_cell_bytes() + need > _TABLE_CACHE_MAX_BYTES:
-                _table_cache.pop(next(iter(_table_cache)))
     table = build_table(params, policy)
     with _table_cache_lock:
         _table_cache.pop(key, None)
         _table_cache[key] = table
-        while len(_table_cache) > 1 and (
-            len(_table_cache) > _TABLE_CACHE_MAX
-            or _cached_cell_bytes() > _TABLE_CACHE_MAX_BYTES
-        ):
+        while len(_table_cache) > _TABLE_CACHE_MAX:
             _table_cache.pop(next(iter(_table_cache)))
     return table
-
-
-def _cached_cell_bytes() -> int:
-    return sum(t.cells.nbytes for t in _table_cache.values())
 
 
 def _extract(x: BitString, y: BitString, derive, policy: TablePolicy) -> BitString:

@@ -187,11 +187,12 @@ def block_table(
     every block.  A block that fits the explicit cap gets an explicit
     random table, a larger one a keyed table.
 
-    An explicit table is checked once per table object, the first time
-    :func:`table_for` returns it here, whoever built it: a sampled
-    prefix-balance check of ``_BLOCK_CHECK_SAMPLES`` rectangles, or of one
-    when S = N.  A failed check logs one warning per table.  Two threads
-    that get an unchecked table at once may both check it.
+    An explicit table, formula tables (n_exp 11-12) included, is checked
+    once per table object, the first time :func:`table_for` returns it
+    here, whoever built it: a sampled prefix-balance check of
+    ``_BLOCK_CHECK_SAMPLES`` rectangles, or of one when S = N.  A failed
+    check logs one warning per table.  Two threads that get an unchecked
+    table at once may both check it.
     """
     params = schedule.block(i).table_params()
     seed = block_seed(policy.seed, i)

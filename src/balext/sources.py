@@ -541,8 +541,8 @@ def _experiment_chunk(spec, table, m_exp, estimator, start, count):
     zs = None
     if n <= _BATCH_MAX_BITS:
         xs, ys = _planted_pairs_np(n, n_shared, n_random, seeds)
-        if table.cells is not None:
-            zs = table.cells[xs.astype(np.intp), ys.astype(np.intp)].tolist()
+        if table.is_explicit:
+            zs = table.lookup_pairs(xs, ys).tolist()
         pairs = list(zip(xs.tolist(), ys.tolist()))
     else:
         pairs = []
@@ -576,10 +576,11 @@ def run_extraction_experiment(
     table comes from the policy once and is shared across trials.
 
     All trials run in one thread, as one run.  Up to n = 64 bits the run
-    is batched: its seeds, pairs and explicit-table cells come from numpy
-    uint64 arrays.  Longer inputs run one trial at a time through
-    :func:`gen_planted_pair`.  Either way the estimator and a keyed table
-    see each distinct (x, y) once.
+    is batched: its seeds, pairs and explicit-table cells (stored, or from
+    a random table's formula) come from numpy uint64 arrays.  Longer
+    inputs run one trial at a time through :func:`gen_planted_pair`.
+    Either way the estimator and a keyed table see each distinct (x, y)
+    once.
     """
     if trials < 1:
         raise InvalidParams("need trials >= 1")

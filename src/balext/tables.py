@@ -5,10 +5,14 @@ Three backends produce a table T : [N] x [N] -> [M]:
 * explicit-random: cells drawn from seeded SplitMix64 streams, one stream
   per row.  Row r's stream is ``substream(seed, r)``; the color of cell
   (r, c) is the low m_exp bits of that stream's c-th output.  Bit-exact
-  across platforms and runs.  A fill of more than 2^20 cells splits its
-  rows into contiguous ranges, one per usable CPU up to 2, filled on a
-  thread pool; since a cell depends only on (seed, row, col), the cells
-  are the same for any number of workers.
+  across platforms and runs.  A table of at most 2^20 cells holds its
+  cells; a larger one is a formula: it stores no cells, and its lookups,
+  pairwise lookups and rectangle grids compute cells from (seed, row,
+  col).  Its digest, file and bytes stream from one fill loop, in row
+  stripes of at most ``_FILL_CHUNK`` cells: worker k of W (one per
+  usable CPU, up to 2) fills stripes k, k + W, ... and hands each to the
+  sink in turn, so the sink sees the rows in order whatever W is, and no
+  full cell array is ever held.
 * explicit-canonical: exhaustive search, in lexicographic order of the
   row-major color sequence, for the first table passing exhaustive
   (S, D)-balance verification.  Only feasible at micro scale.
@@ -16,6 +20,9 @@ Three backends produce a table T : [N] x [N] -> [M]:
   128-bit-keyed mixing function (see :func:`keyed_color`).  A stand-in for
   tables too large to materialize; no balance guarantee, only sampled
   verification applies.
+
+Random and canonical tables are explicit, whether or not they hold their
+cells; keyed tables are not.
 
 The binary file format (little-endian) is:
 
@@ -26,12 +33,16 @@ The binary file format (little-endian) is:
 Cells use 1 byte when m_exp <= 8, else 2 bytes (:func:`cell_dtype`).
 Readers reject unknown versions and backend tags, and files shorter than
 the 27-byte header.  Exponents beyond 255 cannot be serialized, and no file
-is created for them.  File I/O holds the cells once: writing sends the cell
-buffer itself after the header, and reading copies the payload out once.
+is created for them.  File I/O holds the cells at most once: writing sends
+the cell buffer, or a formula table's stripes, after the header, and
+reading checks the payload size against the file's size and reads the
+payload straight into the cell array.  A table read from a file holds its
+cells, since a file need not match its seed's formula.
 
-A table's digest is the SHA-256 of its file bytes.  A table with an
-exponent beyond 255 (a keyed table for 256-bit inputs, say) has no file,
-so its digest hashes the wide header instead, which no file carries:
+A table's digest is the SHA-256 of its file bytes; writing a table also
+records its digest, so ``gen-table`` fills a formula table once.  A table
+with an exponent beyond 255 (a keyed table for 256-bit inputs, say) has no
+file, so its digest hashes the wide header instead, which no file carries:
 
     magic "BTBW" | version u16 | backend u8 | n_exp u32 | m_exp u32 |
     s_exp u32 | d_exp u32 | seed/key 16 bytes zero-padded | cells as above
@@ -42,7 +53,9 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import stat
 import struct
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -70,8 +83,9 @@ EXPLICIT_N_EXP_CAP = 12      # at most 2**24 explicit cells
 EXPLICIT_M_EXP_CAP = 16      # colors must fit the 1/2-byte cell storage
 MICRO_DESCRIPTION_CAP = 24   # canonical search cap on N*N*m_exp bits
 _CONDITION_EXP_CAP = 0xFFFF   # existence check: 2**cap is an 8 KB integer
-_FILL_CHUNK = 1 << 16        # cells per fill step: its two uint64 buffers stay in cache
-_SERIAL_FILL_CELLS = 1 << 20  # fills up to this size run on the calling thread alone
+_FILL_CHUNK = 1 << 16        # cells per fill stripe: its two uint64 buffers stay in cache
+_SERIAL_FILL_CELLS = 1 << 20  # random tables up to this size hold their cells and
+                              # fill on the calling thread alone; larger ones are formulas
 _FILL_MAX_WORKERS = 2         # each worker holds two _FILL_CHUNK uint64 buffers (1 MB);
                               # more workers have been timed only on 2 CPUs
 try:                          # fill threads: the CPUs this process may run on
@@ -241,9 +255,11 @@ def cell_dtype(m_exp: int) -> np.dtype:
 class BalancedTable:
     """An (N, M) color table with one of the three backends.
 
-    Explicit backends store the full row-major cell array (read-only);
-    the keyed backend computes colors on demand.  Instances are immutable
-    and safe to share across threads.
+    Explicit backends store the full row-major cell array (read-only),
+    except a random table of more than ``_SERIAL_FILL_CELLS`` cells, which
+    computes its cells from the seed's formula; the keyed backend computes
+    colors on demand.  Instances are immutable and safe to share across
+    threads.
     """
 
     params: TableParams
@@ -258,17 +274,39 @@ class BalancedTable:
 
     @property
     def is_explicit(self) -> bool:
-        return self.cells is not None
+        """Not keyed: the cells are stored, or follow a random table's formula."""
+        return self.backend != BACKEND_KEYED
 
     def lookup(self, row: int, col: int) -> int:
-        n_side = self.params.n_side
-        if not (0 <= row < n_side and 0 <= col < n_side):
-            raise OutOfRange(f"cell ({row}, {col}) outside [{n_side}]^2")
+        p = self.params
+        if not (0 <= row < p.n_side and 0 <= col < p.n_side):
+            raise OutOfRange(f"cell ({row}, {col}) outside [{p.n_side}]^2")
         if self.cells is not None:
             return int(self.cells[row, col])
-        return keyed_color(
-            self.seed_or_key, self.params.n_exp, self.params.m_exp, row, col
-        )
+        if self.is_explicit:
+            return stream_value(stream_value(self.seed_or_key, row), col) & (p.m_colors - 1)
+        return keyed_color(self.seed_or_key, p.n_exp, p.m_exp, row, col)
+
+    def lookup_pairs(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Cells (rows[i], cols[i]) of an explicit table, in its cell
+        dtype, for in-range index arrays of one length."""
+        if self.cells is not None:
+            return self.cells[rows.astype(np.intp), cols.astype(np.intp)]
+        colors = scramble_np(_row_states(self.seed_or_key, rows) + _col_steps(cols))
+        return (colors & np.uint64(self.params.m_colors - 1)).astype(cell_dtype(self.params.m_exp))
+
+    def grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Cells rows x cols of an explicit table, in its cell dtype:
+        gathered by two ``take`` calls, or filled block by block from the
+        formula with O(``_FILL_CHUNK``) scratch."""
+        if self.cells is not None:
+            return self.cells.take(rows, axis=0).take(cols, axis=1)
+        out = np.empty((len(rows), len(cols)), dtype=cell_dtype(self.params.m_exp))
+        step = min(len(rows), max(1, _FILL_CHUNK // max(1, len(cols))))
+        _fill_rows(_row_states(self.seed_or_key, rows), _col_steps(cols), out,
+                   np.empty((2, step, len(cols)), dtype=np.uint64),
+                   _narrow_mask(self.params.m_exp))
+        return out
 
     def _header(self, layout) -> bytes:
         magic, fmt, limit = layout
@@ -282,61 +320,62 @@ class BalancedTable:
         )
         return header + self.seed_or_key.to_bytes(16, "little")
 
-    def _body(self) -> np.ndarray | None:
-        """The cells in file byte order, a view whenever they already are."""
-        if self.cells is None:
-            return None
-        return np.ascontiguousarray(self.cells, dtype=cell_dtype(self.params.m_exp))
+    def _send_cells(self, sink) -> None:
+        """Pass an explicit table's cells to ``sink`` in file byte order:
+        the cell buffer in one call, or a formula table's fill stripe by
+        stripe (each stripe's buffer is reused once ``sink`` returns)."""
+        p = self.params
+        if self.cells is not None:
+            sink(np.ascontiguousarray(self.cells, dtype=cell_dtype(p.m_exp)))
+        elif self.is_explicit:
+            _fill_stripes(self.seed_or_key, p.n_exp, p.m_exp, sink)
 
     def to_bytes(self) -> bytes:
-        header = self._header(_FILE_HEADER)
-        body = self._body()
-        return header if body is None else header + body.tobytes()
+        parts = [self._header(_FILE_HEADER)]
+        self._send_cells(lambda cells: parts.append(cells.tobytes()))
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BalancedTable":
-        if data[:4] != MAGIC:
-            raise InvalidParams("not a table file (bad magic)")
-        if len(data) < HEADER_BYTES:
-            raise InvalidParams(
-                f"truncated table file: {len(data)} bytes, header needs {HEADER_BYTES}"
-            )
-        version, backend, n_exp, m_exp, s_exp, d_exp = struct.unpack(
-            "<HBBBBB", data[4:11]
-        )
-        if version != FORMAT_VERSION:
-            raise InvalidParams(f"unsupported table format version {version}")
-        if backend not in _BACKEND_NAMES:
-            raise InvalidParams(f"unknown backend tag {backend}")
-        seed_or_key = int.from_bytes(data[11:27], "little")
-        params = TableParams(n_exp, m_exp, s_exp, d_exp)
-        payload = len(data) - HEADER_BYTES
-        if backend == BACKEND_KEYED:
-            if payload:
-                raise InvalidParams("keyed table file carries unexpected cell data")
-            return cls(params, backend, seed_or_key, None)
-        n_side = params.n_side
-        dt = cell_dtype(m_exp)
-        if payload != n_side * n_side * dt.itemsize:
-            raise InvalidParams("cell payload size does not match header")
-        cells = np.frombuffer(data, dt, offset=HEADER_BYTES).reshape(n_side, n_side).copy()
-        if int(cells.max(initial=0)) >= params.m_colors:
-            raise InvalidParams("cell payload contains out-of-range colors")
-        cells.setflags(write=False)
-        return cls(params, backend, seed_or_key, cells)
+        params, backend, seed_or_key, dt = _parse_header(data[:HEADER_BYTES], len(data))
+        cells = None
+        if dt is not None:
+            n_side = params.n_side
+            cells = np.frombuffer(data, dt, offset=HEADER_BYTES).reshape(n_side, n_side).copy()
+        return _checked(params, backend, seed_or_key, cells)
 
     def write(self, path) -> None:
-        """The header (refused before the file opens), then the cell buffer."""
-        header, body = self._header(_FILE_HEADER), self._body()
+        """The header (refused before the file opens), then the cells.
+        The bytes written also give the digest, so a formula table is
+        filled once for both."""
+        header = self._header(_FILE_HEADER)
+        h = hashlib.sha256(header)
         with open(path, "wb") as fh:
             fh.write(header)
-            if body is not None:
-                fh.write(body)
+
+            def sink(cells):
+                fh.write(cells)
+                h.update(cells)
+
+            self._send_cells(sink)
+        object.__setattr__(self, "_digest", h.hexdigest())
 
     @classmethod
     def read(cls, path) -> "BalancedTable":
+        """A table file's table, its payload read straight into the cell
+        array once the header and the file's size have been checked."""
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+            head = fh.read(HEADER_BYTES)
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):      # a pipe has no size to check
+                return cls.from_bytes(head + fh.read())
+            params, backend, seed_or_key, dt = _parse_header(head, st.st_size)
+            cells = None
+            if dt is not None:
+                cells = np.empty((params.n_side, params.n_side), dtype=dt)
+                if fh.readinto(cells) != cells.nbytes or fh.read(1):
+                    raise InvalidParams("cell payload size does not match header")
+        return _checked(params, backend, seed_or_key, cells)
 
     def digest(self) -> str:
         """SHA-256 of the file bytes, or of the wide header encoding when an
@@ -345,68 +384,173 @@ class BalancedTable:
             p = self.params
             wide = max(p.n_exp, p.m_exp, p.s_exp, p.d_exp) > 0xFF
             h = hashlib.sha256(self._header(_WIDE_HEADER if wide else _FILE_HEADER))
-            body = self._body()
-            if body is not None:
-                h.update(body)
+            self._send_cells(h.update)
             object.__setattr__(self, "_digest", h.hexdigest())
         return self._digest
 
 
-def _random_cells(seed: int, n_exp: int, m_exp: int) -> np.ndarray:
-    n_side = 1 << n_exp
+def _parse_header(head: bytes, size: int):
+    """(params, backend, seed or key, cell dtype or None when the table
+    has no cells) of a table file from its first ``HEADER_BYTES`` and its
+    size, refused with :class:`InvalidParams` as a malformed file."""
+    if head[:4] != MAGIC:
+        raise InvalidParams("not a table file (bad magic)")
+    if size < HEADER_BYTES:
+        raise InvalidParams(f"truncated table file: {size} bytes, header needs {HEADER_BYTES}")
+    version, backend, n_exp, m_exp, s_exp, d_exp = struct.unpack("<HBBBBB", head[4:11])
+    if version != FORMAT_VERSION:
+        raise InvalidParams(f"unsupported table format version {version}")
+    if backend not in _BACKEND_NAMES:
+        raise InvalidParams(f"unknown backend tag {backend}")
+    seed_or_key = int.from_bytes(head[11:27], "little")
+    params = TableParams(n_exp, m_exp, s_exp, d_exp)
+    payload = size - HEADER_BYTES
+    if backend == BACKEND_KEYED:
+        if payload:
+            raise InvalidParams("keyed table file carries unexpected cell data")
+        return params, backend, seed_or_key, None
+    dt = cell_dtype(m_exp)
+    if payload != params.n_side * params.n_side * dt.itemsize:
+        raise InvalidParams("cell payload size does not match header")
+    return params, backend, seed_or_key, dt
+
+
+def _checked(params: TableParams, backend: int, seed_or_key: int, cells) -> BalancedTable:
+    """The table a file describes, once its cells' colors are in range."""
+    if cells is not None:
+        if int(cells.max(initial=0)) >= params.m_colors:
+            raise InvalidParams("cell payload contains out-of-range colors")
+        cells.setflags(write=False)
+    return BalancedTable(params, backend, seed_or_key, cells)
+
+
+# ---------------------------------------------------------------------------
+# The random table's fill
+# ---------------------------------------------------------------------------
+
+
+def _col_steps(cols: np.ndarray) -> np.ndarray:
+    """What output c of a stream adds to its state before the scramble:
+    (c + 1) GAMMA.  Column c of a row is output c of the row's stream."""
+    return (cols.astype(np.uint64) + np.uint64(1)) * np.uint64(GAMMA)
+
+
+def _row_states(seed: int, rows: np.ndarray) -> np.ndarray:
+    """Each row's stream state: row r's is output r of the master stream."""
+    return scramble_np(np.uint64(seed) + _col_steps(rows))
+
+
+def _narrow_mask(m_exp: int):
+    """The color mask in the cell dtype, or None when the cells are no wider."""
     dtype = cell_dtype(m_exp)
-    out = np.empty((n_side, n_side), dtype=dtype)
-    # row r's stream state is output r of the master stream
-    row_states = scramble_np(
-        np.uint64(seed & MASK64)
-        + np.arange(1, n_side + 1, dtype=np.uint64) * np.uint64(GAMMA)
-    )
-    ks = np.arange(1, n_side + 1, dtype=np.uint64) * np.uint64(GAMMA)
-    # The fill runs in place: each chunk's SplitMix steps reuse two uint64
-    # buffers, and the last xor writes straight into the cells, keeping the
-    # low 8 or 16 bits; the mask then runs on the narrow cells, and only
-    # when m_exp is below their width.  A large fill splits its rows into
-    # contiguous ranges, one per worker thread (numpy's ufuncs release the
-    # GIL); every cell depends only on (seed, row, col), so the cells do not
-    # depend on the split.  The buffers are allocated here, on the calling
-    # thread, so that they do not stay resident in per-thread arenas.
-    chunk = min(n_side, max(1, _FILL_CHUNK // n_side))
-    narrow_mask = dtype.type((1 << m_exp) - 1) if m_exp < 8 * dtype.itemsize else None
+    return dtype.type((1 << m_exp) - 1) if m_exp < 8 * dtype.itemsize else None
+
+
+def _fill_rows(row_states: np.ndarray, col_steps: np.ndarray, out: np.ndarray,
+               scratch: np.ndarray, mask) -> None:
+    """out[i, j] = scramble(row_states[i] + col_steps[j]), cut to out's
+    dtype and masked, in blocks of rows that fit the (2, rows, columns)
+    uint64 ``scratch``.
+
+    The fill runs in place: each block's SplitMix steps reuse the two
+    scratch buffers, and the last xor writes straight into ``out``,
+    keeping the low 8 or 16 bits; the mask then runs on the narrow cells,
+    and only when m_exp is below their width.  numpy's ufuncs release the
+    GIL, so fill workers run side by side.
+    """
+    z_buf, tmp_buf = scratch
+    step = z_buf.shape[0]
+    for r0 in range(0, len(row_states), step):
+        r1 = min(len(row_states), r0 + step)
+        z = np.add(row_states[r0:r1, None], col_steps, out=z_buf[:r1 - r0])
+        cells = scramble_inplace(z, tmp_buf[:r1 - r0], out=out[r0:r1])
+        if mask is not None:
+            cells &= mask
+
+
+def _fill_stripes(seed: int, n_exp: int, m_exp: int, sink, out=None) -> None:
+    """Pass random table (seed, n_exp, m_exp)'s cells to ``sink`` in row
+    stripes of at most ``_FILL_CHUNK`` cells, top to bottom; with ``out``,
+    an (N, N) cell array, each stripe is filled in place there.
+
+    A table of more than ``_SERIAL_FILL_CELLS`` cells is filled by
+    ``_FILL_WORKERS`` threads: worker k fills stripes k, k + W, ... into
+    its own stripe buffer, and passes stripe i to ``sink`` only after
+    stripe i - 1's call has returned, so a sink that hashes or writes runs
+    on the workers in turn while the others fill.  Every cell depends only
+    on (seed, row, col), so the stripes do not depend on W.  If a worker
+    raises, the sink included, every worker stops at its next turn and the
+    error reaches the caller.  Buffers are allocated here, on the calling
+    thread, so that they do not stay resident in per-thread arenas.
+    """
+    n_side = 1 << n_exp
+    rows = min(n_side, max(1, _FILL_CHUNK // n_side))
+    stripes = range(0, n_side, rows)
     workers = 1 if n_side * n_side <= _SERIAL_FILL_CELLS else _FILL_WORKERS
-    per = -(-n_side // workers)
-    starts = range(0, n_side, per)
-    buffers = [np.empty((2, chunk, n_side), dtype=np.uint64) for _ in starts]
+    row_states = _row_states(seed, np.arange(n_side, dtype=np.uint64))
+    col_steps = _col_steps(np.arange(n_side, dtype=np.uint64))
+    mask = _narrow_mask(m_exp)
+    buffers = [(np.empty((2, rows, n_side), dtype=np.uint64),
+                out if out is not None else np.empty((rows, n_side), dtype=cell_dtype(m_exp)))
+               for _ in range(workers)]
+    turn = threading.Condition()
+    sent, failed = 0, False
 
     def fill(k: int) -> None:
-        z_buf, tmp_buf = buffers[k]
-        stop = min(n_side, starts[k] + per)
-        for r0 in range(starts[k], stop, chunk):
-            r1 = min(stop, r0 + chunk)
-            z = np.add(row_states[r0:r1, None], ks, out=z_buf[:r1 - r0])
-            cells = scramble_inplace(z, tmp_buf[:r1 - r0], out=out[r0:r1])
-            if narrow_mask is not None:
-                cells &= narrow_mask
+        nonlocal sent, failed
+        scratch, cells = buffers[k]
+        try:
+            for i in range(k, len(stripes), workers):
+                r0 = stripes[i]
+                r1 = min(n_side, r0 + rows)
+                stripe = cells[r0:r1] if out is not None else cells[:r1 - r0]
+                _fill_rows(row_states[r0:r1], col_steps, stripe, scratch, mask)
+                with turn:
+                    turn.wait_for(lambda: sent == i or failed)
+                    if failed:
+                        return
+                sink(stripe)
+                with turn:
+                    sent += 1
+                    turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
 
-    if len(starts) == 1:
+    if workers == 1:
         fill(0)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=len(starts)) as pool:
-            list(pool.map(fill, range(len(starts))))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, range(workers)))
+
+
+def _random_cells(seed: int, n_exp: int, m_exp: int) -> np.ndarray:
+    """Random table (seed, n_exp, m_exp)'s cells as one read-only array."""
+    n_side = 1 << n_exp
+    out = np.empty((n_side, n_side), dtype=cell_dtype(m_exp))
+    _fill_stripes(seed, n_exp, m_exp, lambda stripe: None, out)
     out.setflags(write=False)
     return out
 
 
 def random_table(params: TableParams, seed: int) -> BalancedTable:
-    """Explicit table with independently uniform seeded-pseudorandom colors."""
+    """Explicit table with independently uniform seeded-pseudorandom colors;
+    one of more than ``_SERIAL_FILL_CELLS`` cells is a formula, built in
+    O(1), that holds no cells."""
     if params.n_exp > EXPLICIT_N_EXP_CAP:
         raise TooLarge(f"n_exp = {params.n_exp} exceeds the explicit-backend cap "
                        f"{EXPLICIT_N_EXP_CAP}")
     if params.m_exp > EXPLICIT_M_EXP_CAP:
         raise TooLarge(f"m_exp = {params.m_exp} exceeds explicit color storage (16)")
-    cells = _random_cells(seed & MASK64, params.n_exp, params.m_exp)
-    return BalancedTable(params, BACKEND_RANDOM, seed & MASK64, cells)
+    seed &= MASK64
+    cells = None
+    if params.n_side ** 2 <= _SERIAL_FILL_CELLS:
+        cells = _random_cells(seed, params.n_exp, params.m_exp)
+    return BalancedTable(params, BACKEND_RANDOM, seed, cells)
 
 
 def keyed_table(params: TableParams, key: int) -> BalancedTable:

@@ -28,12 +28,13 @@ Either way memory is bounded per chunk, not with N * N * M or with the
 number of subsets.  Sampled mode draws seeded random rectangles chunk by
 chunk (rows and columns by a sparse partial Fisher-Yates, sample j from
 streams 2j and 2j+1 of the verification seed), gathers each one's cells
-with two ``take`` calls, or computes them for a keyed table, and counts
-them into one row of a rectangle-major array that the core reads
-transposed; when M > 2^20 it ranks the colors present with ``np.unique``
-instead.  A chunk of samples holds its O(chunk x S) draws, its count array
-and its rectangles' cells, so memory grows with neither the sample count
-nor N.  Sampled mode is a Monte-Carlo relaxation with no certificate.
+with two ``take`` calls, or computes them from a random table's formula
+or for a keyed table, and counts them into one row of a rectangle-major
+array that the core reads transposed; when M > 2^20 it ranks the colors
+present with ``np.unique`` instead.  A chunk of samples holds its
+O(chunk x S) draws, its count array and its rectangles' cells, so memory
+grows with neither the sample count nor N.  Sampled mode is a Monte-Carlo
+relaxation with no certificate.
 
 Reports are reproducible: the witness is the first violating rectangle in
 enumeration/sample order and the worst ratio is a max over checked
@@ -348,13 +349,16 @@ def _exhaustive(table: BalancedTable, rule: _Rule):
     ``bincount``, each rectangle into its own run of M slots, and yields
     the transposed view.
     """
-    if table.cells is None:
+    if not table.is_explicit:
         raise TooLarge("exhaustive verification requires an explicit table")
     n_side, m_colors = table.params.n_side, table.params.m_colors
     count = math.comb(n_side, rule.rows) * math.comb(n_side, rule.cols)
     if count > ENUM_CAP:
         raise TooLarge(f"{count} rectangles exceed the enumeration cap {ENUM_CAP}")
     e = _enumeration(n_side, rule.rows, rule.cols, m_colors)
+    cells = table.cells
+    if cells is None:            # a formula table's cells, held for this check only
+        cells = table.grid(np.arange(n_side), np.arange(n_side))
 
     def chunk_rect(r0, c0, width):
         def rect(i):
@@ -364,7 +368,7 @@ def _exhaustive(table: BalancedTable, rule: _Rule):
 
     if e.by_row:
         width = len(e.col_sets)
-        cells = table.cells.take(e.col_index, axis=1)           # (N, w, cols)
+        cells = cells.take(e.col_index, axis=1)                 # (N, w, cols)
         slots = cells * np.intp(n_side * width) + e.slots
         hist = np.bincount(slots.ravel(), minlength=m_colors * n_side * width)
         hist = hist.reshape(m_colors, n_side, width)
@@ -376,7 +380,7 @@ def _exhaustive(table: BalancedTable, rule: _Rule):
             yield chunk_rect(r0, 0, width), counts.reshape(m_colors, -1), e.labels
         return
     for r0 in range(0, len(e.row_sets), e.n_rows):
-        block = table.cells.take(e.row_index[r0:r0 + e.n_rows], axis=0)  # (k, rows, N)
+        block = cells.take(e.row_index[r0:r0 + e.n_rows], axis=0)  # (k, rows, N)
         for c0 in range(0, len(e.col_sets), e.n_cols):
             chunk = e.col_index[c0:c0 + e.n_cols]
             grid = block.take(chunk, axis=2)                    # (k, rows, w, cols)
@@ -442,10 +446,10 @@ def _sample_rect_indices(seed: int, start: int, count: int, n_side: int, s_side:
 
 
 def _rect_colors(table: BalancedTable, rows: np.ndarray, cols: np.ndarray):
-    """The rectangle's cells: explicit ones gathered by two ``take`` calls,
+    """The rectangle's cells: explicit ones from :meth:`BalancedTable.grid`,
     keyed ones below 2^63 as an intp view that ``bincount`` counts as is."""
-    if table.cells is not None:
-        return table.cells.take(rows, axis=0).take(cols, axis=1)
+    if table.is_explicit:
+        return table.grid(rows, cols)
     p = table.params
     if p.m_exp <= 64:
         grid = keyed_colors_grid(table.seed_or_key, p.n_exp, p.m_exp, rows, cols)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,6 +214,20 @@ class TestGenVerify:
         assert code == 3 and stdout == ""
         assert err.startswith(f"error: io: cannot write {out}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_gen_table_of_a_formula_table_onto_a_full_device(self, capsys):
+        # the write fails inside the fill workers' stripe turns: every
+        # worker stops, and the error is the usual one line
+        threads = threading.active_count()
+        code, stdout, err = run(
+            capsys, "gen-table", "--n-exp", "12", "--m-exp", "8", "--s-exp", "4",
+            "--d-exp", "2", "--seed", "5", "--out", "/dev/full",
+        )
+        assert code == 3 and stdout == ""
+        assert err.startswith("error: io: cannot write /dev/full: ")
+        assert err.count("\n") == 1
+        assert threading.active_count() == threads
 
     def test_gen_table_beyond_file_format_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "wide.btab"

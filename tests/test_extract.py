@@ -1,4 +1,7 @@
+import concurrent.futures  # noqa: F401  (its import is not the fill's memory)
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import peak_traced_bytes
 
-from balext import extract
+from balext import extract, tables
 from balext.core import BitString, InvalidParams, NotFound, TooLarge
 from balext.extract import TablePolicy, extract_conditional, extract_string, table_for
 from balext.core import TableParams, derive_string_params
@@ -92,37 +95,58 @@ class TestExtractString:
 
 
     def test_cache_bounded_by_cell_bytes(self):
-        # the bound covers every cached cell, the newest table's included:
-        # after three 16 MB tables only the newest is left
-        params = TableParams(12, 8, 4, 2)     # 2^24 one-byte cells each
-        assert extract._TABLE_CACHE_MAX_BYTES == 1 << 24
-        for seed in (101, 102, 103):
-            newest = table_for(params, TablePolicy(kind="random", seed=seed))
-        assert list(extract._table_cache.values()) == [newest]
-        assert sum(t.cells.nbytes for t in extract._table_cache.values()) == 1 << 24
-        assert table_for(params, TablePolicy(kind="random", seed=103)) is newest
+        # a random table holds at most 2^20 cells of at most two bytes, and a
+        # larger one is a formula that holds none, so the 8-table cap bounds
+        # the cached cells at 16 MB
+        big = [table_for(TableParams(12, 8, 4, 2), TablePolicy(kind="random", seed=s))
+               for s in (101, 102, 103)]
+        assert list(extract._table_cache.values()) == big
+        assert all(t.cells is None for t in big)
+        held = [table_for(TableParams(10, 16, 4, 2), TablePolicy(kind="random", seed=s))
+                for s in range(9)]
+        cached = list(extract._table_cache.values())
+        assert cached == held[1:] and len(cached) == extract._TABLE_CACHE_MAX
+        assert sum(t.cells.nbytes for t in cached) == 16 << 20
+        assert table_for(TableParams(10, 16, 4, 2),
+                         TablePolicy(kind="random", seed=8)) is held[-1]
 
     def test_room_is_made_before_the_fill(self):
-        # three 16 MB tables built in turn never hold more than one of them
-        # at a time, besides the fill's scratch (1 MB per fill worker)
+        # three 2^24-cell tables built, digested and written in turn peak at
+        # the fill's scratch and stripes (about 1 MB per fill worker): none
+        # of them ever holds its 16 MB of cells
         params = TableParams(12, 8, 4, 2)
 
-        def build_three():
+        def build_three(tmp):
             for seed in (101, 102, 103):
-                table_for(params, TablePolicy(kind="random", seed=seed))
+                table = table_for(params, TablePolicy(kind="random", seed=seed))
+                table.digest()
+                table.write(tmp / f"{seed}.btab")
 
-        peak = peak_traced_bytes(build_three)
-        assert peak <= (16 + 2 + 1) << 20, peak / 2**20
+        with tempfile.TemporaryDirectory() as tmp:
+            peak = peak_traced_bytes(lambda: build_three(Path(tmp)))
+        assert peak < (tables._FILL_WORKERS + 1) << 20, peak / 2**20
 
     def test_small_tables_share_the_budget(self):
+        # small tables, which hold their cells, and formula tables share the
+        # 8-table cap, and no table evicts another for its size
         small = [table_for(TableParams(8, 8, 4, 2), TablePolicy(kind="random", seed=s))
                  for s in range(3)]
         assert list(extract._table_cache.values()) == small
         big = table_for(TableParams(12, 8, 4, 2), TablePolicy(kind="random", seed=1))
-        assert list(extract._table_cache.values()) == [big]
-        # a table larger than the budget is still cached, on its own
         wide = table_for(TableParams(12, 9, 4, 2), TablePolicy(kind="random", seed=1))
-        assert list(extract._table_cache.values()) == [wide]
+        assert list(extract._table_cache.values()) == small + [big, wide]
+        assert big.cells is None and wide.cells is None
+        assert all(t.cells is not None for t in small)
+
+    def test_cold_extract_at_12_bits_builds_nothing(self):
+        # the table is a formula: the golden cell comes from two scrambles
+        x = BitString(1, 12)
+        y = BitString(1 << 11, 12)
+        out = []
+        peak = peak_traced_bytes(lambda: out.append(
+            extract_string(x, y, F(1, 2), F(1, 8), TablePolicy(kind="random", seed=7))))
+        assert out[0].to01() == GOLDEN_STRING_N12
+        assert peak < 1 << 20, peak / 2**20
 
     @pytest.mark.parametrize("params, kind", [
         (TableParams(13, 8, 4, 2), "random"),      # beyond the explicit side cap

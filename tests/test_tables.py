@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import math
+import os
 import struct
 import sys
 import threading
@@ -110,6 +111,11 @@ class TestRandomTable:
         seed = 0xC0FFEE + n_exp + m_exp
         t = random_table(TableParams(n_exp, m_exp, 2, 1), seed)
         n_side, mask = 1 << n_exp, (1 << m_exp) - 1
+        cells = t.cells
+        assert (cells is None) == (n_exp == 12)   # 2^24 cells: a formula table
+        if cells is None:        # the cells its file carries, stripe by stripe
+            cells = np.frombuffer(t.to_bytes(), tables.cell_dtype(m_exp),
+                                  offset=tables.HEADER_BYTES).reshape(n_side, n_side)
         rows_per_chunk = max(1, tables._FILL_CHUNK // n_side)
         assert rows_per_chunk < n_side   # the table spans several fill chunks
         edges = {n_side - 1}
@@ -117,11 +123,11 @@ class TestRandomTable:
             edges |= {r0 - 1, r0}
         for r in sorted(edges):
             state = stream_value(seed, r)
-            assert np.array_equal(t.cells[r], stream_block_np(state, 0, n_side) & mask)
+            assert np.array_equal(cells[r], stream_block_np(state, 0, n_side) & mask)
             for c in (0, n_side // 2, n_side - 1):
                 assert t.lookup(r, c) == stream_value(state, c) & mask
         last = stream_value(seed, n_side - 1)
-        assert t.cells[-1].tolist() == [stream_value(last, c) & mask for c in range(n_side)]
+        assert cells[-1].tolist() == [stream_value(last, c) & mask for c in range(n_side)]
 
     @pytest.mark.parametrize("m_exp", [1, 5, 8, 9, 15, 16])
     @pytest.mark.parametrize("n_exp", [0, 1, 12])
@@ -217,13 +223,12 @@ class TestParallelFill:
     def test_concurrent_fills_agree(self, monkeypatch):
         # two fills at once, each on three workers: more threads than cores
         monkeypatch.setattr(tables, "_FILL_WORKERS", 3)
-        p = TableParams(12, 4, 6, 1)
         barrier = threading.Barrier(2, timeout=60)
         got = [None, None]
 
         def build(i):
             barrier.wait()
-            got[i] = random_table(p, 0xABC).cells
+            got[i] = tables._random_cells(0xABC, 12, 4)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -251,9 +256,11 @@ class TestParallelFill:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert tables._SERIAL_FILL_CELLS == 1 << 20
         for n_exp in (1, 8, 10):
-            random_table(TableParams(n_exp, 8, 1, 1), 3)
+            random_table(TableParams(n_exp, 8, 1, 1), 3).digest()
+        formula = random_table(TableParams(11, 8, 1, 1), 3)    # built, not filled
+        assert formula.cells is None and formula.lookup(5, 6) >= 0
         with pytest.raises(AssertionError, match="started a thread"):
-            random_table(TableParams(11, 8, 1, 1), 3)
+            formula.digest()
 
 
 class TestKeyedTable:
@@ -492,11 +499,14 @@ class TestFileContract:
         blob[at] = value
         return bytes(blob)
 
-    def test_each_refusal_keeps_its_message(self):
+    def test_each_refusal_keeps_its_message(self, tmp_path):
+        # the file reader checks the header and the file's size before it
+        # reads the payload, and refuses with from_bytes' messages
         data = random_table(TableParams(3, 2, 2, 1), 4).to_bytes()
         keyed = keyed_table(TableParams(40, 8, 4, 3), key=5).to_bytes()
         cases = [
             (b"NOPE" + bytes(23), "not a table file (bad magic)"),
+            (b"BT", "not a table file (bad magic)"),
             (data[:5], "truncated table file: 5 bytes, header needs 27"),
             (self._edited(data, 4, 0xFF), "unsupported table format version 255"),
             (self._edited(data, 6, 7), "unknown backend tag 7"),
@@ -505,10 +515,16 @@ class TestFileContract:
             (data + b"\x00", "cell payload size does not match header"),
             (self._edited(data, 30, 4), "cell payload contains out-of-range colors"),
         ]
+        path = tmp_path / "t.btab"
         for blob, message in cases:
-            with pytest.raises(InvalidParams) as e:
-                BalancedTable.from_bytes(blob)
-            assert str(e.value) == message
+            path.write_bytes(blob)
+            for parse in (lambda: BalancedTable.from_bytes(blob),
+                          lambda: BalancedTable.read(path)):
+                with pytest.raises(InvalidParams) as e:
+                    parse()
+                assert str(e.value) == message
+        path.write_bytes(keyed)
+        assert BalancedTable.read(path).to_bytes() == keyed
 
     def test_refused_header_creates_no_file(self, tmp_path):
         path = tmp_path / "wide.btab"
@@ -518,16 +534,175 @@ class TestFileContract:
         assert not path.exists()
 
     def test_write_and_read_hold_the_cells_once(self, tmp_path):
-        # a 2^24-cell table: writing copies none of its cells, and reading
-        # holds the file's bytes and the cell array, nothing more
+        # a 2^24-cell table is a formula: writing it holds the fill's
+        # scratch and stripes (about 1 MB per fill worker), never its
+        # cells; writing a table that holds its cells copies none of them;
+        # reading holds the cell array, nothing more
         t = random_table(TableParams(12, 8, 4, 2), seed=6)
+        assert t.cells is None
         path = tmp_path / "big.btab"
-        assert peak_traced_bytes(lambda: t.write(path)) < 1 << 20
+        peak = peak_traced_bytes(lambda: t.write(path))
+        assert peak < (tables._FILL_WORKERS + 1) << 20, peak / 2**20
         assert path.stat().st_size == tables.HEADER_BYTES + (1 << 24)
+        held = random_table(TableParams(10, 16, 4, 2), seed=6)     # 2 MB of cells
+        assert peak_traced_bytes(lambda: held.write(tmp_path / "held.btab")) < 1 << 16
         back = []
         peak = peak_traced_bytes(lambda: back.append(BalancedTable.read(path)))
-        assert peak <= (2 << 24) + (1 << 20), peak / 2**20
-        assert back[0].digest() == t.digest()
+        assert peak <= (1 << 24) + (1 << 20), peak / 2**20
+        assert back[0].cells is not None and back[0].digest() == t.digest()
+
+    def test_read_from_a_pipe(self):
+        # a pipe has no size to check first: its bytes are parsed as a whole
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd")
+        data = random_table(TableParams(5, 9, 3, 2), 8).to_bytes()
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            w = None
+            back = BalancedTable.read(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+            if w is not None:
+                os.close(w)
+        assert back.to_bytes() == data
+
+
+def _formula_oracle(params: TableParams, seed: int) -> BalancedTable:
+    """A random table's materialized twin: every row from the stream rule."""
+    n_side, mask = params.n_side, params.m_colors - 1
+    cells = np.empty((n_side, n_side), dtype=np.uint8 if params.m_exp <= 8 else "<u2")
+    for r in range(n_side):
+        cells[r] = stream_block_np(stream_value(seed, r), 0, n_side) & mask
+    cells.setflags(write=False)
+    return BalancedTable(params, BACKEND_RANDOM, seed, cells)
+
+
+def _file_sha256(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+class TestFormulaTable:
+    """A random table of more than 2^20 cells holds none: its lookups
+    compute cells from the stream rule, and its digest, file and bytes
+    stream from the fill workers in row order."""
+
+    @pytest.mark.parametrize("m_exp", [1, 4, 8, 9, 16])
+    @pytest.mark.parametrize("n_exp", [11, 12])
+    def test_matches_materialized_oracle(self, monkeypatch, tmp_path, n_exp, m_exp):
+        seed = 0xF00D + 17 * m_exp + n_exp
+        params = TableParams(n_exp, m_exp, 4, 1)
+        oracle = _formula_oracle(params, seed)
+        want = oracle.digest()
+        n_side = params.n_side
+        probe = np.array([0, 1, 15, 16, n_side // 2, n_side - 1], dtype=np.uint64)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tables, "_FILL_WORKERS", workers)
+            t = random_table(params, seed)
+            assert t.cells is None and t.is_explicit
+            assert t.digest() == want
+            written = random_table(params, seed)
+            path = tmp_path / f"w{workers}.btab"
+            written.write(path)
+            assert written.digest() == want == _file_sha256(path)
+            if n_exp == 11:
+                assert t.to_bytes() == oracle.to_bytes()
+        assert np.array_equal(t.grid(probe, probe[::-1]), oracle.grid(probe, probe[::-1]))
+        assert t.grid(probe, probe).dtype == oracle.cells.dtype
+        pairs = t.lookup_pairs(probe, probe[::-1])
+        assert pairs.dtype == oracle.cells.dtype
+        assert np.array_equal(pairs, oracle.lookup_pairs(probe, probe[::-1]))
+        for r, c in ((0, 0), (n_side - 1, 3), (7, n_side - 1)):
+            assert t.lookup(r, c) == oracle.lookup(r, c)
+        with pytest.raises(OutOfRange):
+            t.lookup(n_side, 0)
+
+    def test_write_then_digest_fills_once(self, monkeypatch, tmp_path):
+        filled = []
+        fill_rows = tables._fill_rows
+
+        def counting(row_states, *args):
+            filled.append(len(row_states))
+            return fill_rows(row_states, *args)
+
+        monkeypatch.setattr(tables, "_fill_rows", counting)
+        t = random_table(TableParams(12, 8, 4, 2), seed=21)
+        assert filled == []                       # building fills nothing
+        t.write(tmp_path / "t.btab")
+        stripes = (1 << 24) // tables._FILL_CHUNK
+        assert len(filled) == stripes and sum(filled) == 1 << 12
+        assert t.digest() == _file_sha256(tmp_path / "t.btab")
+        assert len(filled) == stripes             # the digest came with the write
+        t.lookup(5, 9)
+        assert len(filled) == stripes
+
+    @pytest.mark.parametrize("where", ["sink", "fill"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_stripe_stops_every_worker(self, monkeypatch, workers, where):
+        # the error of stripe 3 reaches the caller, no later stripe reaches
+        # the sink (an earlier one may not, once a fill has failed), and no
+        # thread is left waiting for its turn
+        monkeypatch.setattr(tables, "_FILL_WORKERS", workers)
+        sent, errors = [], []
+        fill_rows = tables._fill_rows
+
+        def failing_fill(row_states, *args):
+            if int(row_states[0]) == int(tables._row_states(3, np.array([48]))[0]):
+                raise MemoryError("stripe 3")
+            return fill_rows(row_states, *args)
+
+        def sink(stripe):
+            if where == "sink" and len(sent) == 3:
+                raise OSError("stripe 3")
+            sent.append(stripe.copy())
+
+        if where == "fill":
+            monkeypatch.setattr(tables, "_fill_rows", failing_fill)
+
+        def run():
+            try:
+                tables._fill_stripes(3, 12, 8, sink)
+            except (OSError, MemoryError) as e:
+                errors.append(e)
+
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=run)
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert [str(e) for e in errors] == ["stripe 3"]
+        assert len(sent) == 3 if where == "sink" else len(sent) <= 3
+        for i, stripe in enumerate(sent):
+            assert int(stripe[0, 5]) == stream_value(stream_value(3, 16 * i), 5) & 255
+        assert threading.active_count() == before
+
+    def test_reports_match_materialized_twin(self):
+        from balext.verify import verify_prefix_balance, verify_sampled
+
+        params = TableParams(11, 4, 3, 1)
+        t, twin = random_table(params, 77), _formula_oracle(params, 77)
+        assert t.cells is None
+        pairs = [
+            (verify_sampled(t, 3, 1, samples=40, seed=5),
+             verify_sampled(twin, 3, 1, samples=40, seed=5)),
+            (verify_prefix_balance(t, 3, mode="sampled", samples=40, seed=6, threads=2),
+             verify_prefix_balance(twin, 3, mode="sampled", samples=40, seed=6)),
+            (verify_prefix_balance(t, 11, mode="sampled", samples=1, seed=7),
+             verify_prefix_balance(twin, 11, mode="sampled", samples=1, seed=7)),
+        ]
+        for got, want in pairs:
+            assert got.to_json() == want.to_json()
+            assert got == want
 
 
 @settings(max_examples=30)
