@@ -20,7 +20,6 @@ from .extract import TablePolicy, extract_conditional, extract_string
 from .seqtransform import (
     BitStream,
     BitStringStream,
-    BlockLayout,
     CountingBitStream,
     SeededBitStream,
     SequenceTransformer,

@@ -12,7 +12,6 @@ failure, 3 I/O errors.  Errors print one machine-parsable line to stderr:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 
@@ -27,7 +26,7 @@ from .core import (
     parse_fraction,
 )
 from .extract import TablePolicy, build_table, extract_conditional, extract_string
-from .seqtransform import BitStringStream, BlockLayout, SequenceTransformer
+from .seqtransform import BitStringStream, SequenceTransformer
 from .sources import PlantedPairSpec, run_extraction_experiment
 from .tables import BalancedTable, existence_condition_exponents
 from .verify import verify_exhaustive, verify_prefix_balance, verify_sampled
@@ -121,15 +120,11 @@ def _cmd_check_condition(args) -> int:
     return EXIT_OK
 
 
-def _policy(seed: int) -> TablePolicy:
-    return TablePolicy(kind="auto", seed=seed)
-
-
 def _cmd_extract(args) -> int:
     x = _read_bits(args.x, args.bits)
     y = _read_bits(args.y, args.bits)
     z = extract_string(x, y, parse_fraction(args.sigma), parse_fraction(args.alpha),
-                       _policy(args.seed))
+                       TablePolicy(seed=args.seed))
     _write_bytes(args.out, z.to_bytes())
     print(f"bits={len(z)} out={args.out}")
     return EXIT_OK
@@ -138,7 +133,7 @@ def _cmd_extract(args) -> int:
 def _cmd_extract_cond(args) -> int:
     x = _read_bits(args.x, args.bits)
     y = _read_bits(args.y, args.bits)
-    z = extract_conditional(x, y, args.s, args.alpha, _policy(args.seed))
+    z = extract_conditional(x, y, args.s, args.alpha, TablePolicy(seed=args.seed))
     _write_bytes(args.out, z.to_bytes())
     print(f"bits={len(z)} out={args.out}")
     return EXIT_OK
@@ -147,28 +142,26 @@ def _cmd_extract_cond(args) -> int:
 def _cmd_transform(args) -> int:
     x = _read_bits(args.x, None)
     y = _read_bits(args.y, None)
-    # derive the longest schedule once, then keep the blocks through the one
+    # the longest schedule: the transformer reads no block past the one
     # that holds the last requested output bit
     schedule = derive_seq_schedule(
         parse_fraction(args.tau), parse_fraction(args.delta), args.block_base,
         _MAX_BLOCKS,
     )
-    layout = BlockLayout.from_schedule(schedule)
-    if layout.total_output_bits < args.out_bits:
+    if schedule.total_output_bits < args.out_bits:
         raise _CliError(
             EXIT_INVALID, "invalid-params",
             "schedule cannot cover the requested output length",
         )
-    used = layout.block_of_output(args.out_bits - 1) if args.out_bits > 0 else 0
-    schedule = dataclasses.replace(schedule, blocks=schedule.blocks[:max(used, 1)])
-    needed = layout.input_ends[used - 1] if used else 0
+    used = schedule.block_of_output(args.out_bits - 1) if args.out_bits > 0 else 0
+    needed = schedule.input_ends[used - 1] if used else 0
     if needed > len(x) or needed > len(y):
         raise _CliError(
             EXIT_IO, "io",
             f"input too short: need {needed} bits, have {len(x)} (x) / {len(y)} (y)",
         )
     tr = SequenceTransformer(
-        BitStringStream(x), BitStringStream(y), schedule, _policy(args.seed)
+        BitStringStream(x), BitStringStream(y), schedule, TablePolicy(seed=args.seed)
     )
     z = tr.transform_prefix(args.out_bits)
     _write_bytes(args.out, z.to_bytes())
@@ -182,7 +175,7 @@ def _cmd_experiment(args) -> int:
     )
     if args.threads < 1:
         raise InvalidParams("need threads >= 1")
-    report = run_extraction_experiment(spec, args.trials, _policy(args.seed))
+    report = run_extraction_experiment(spec, args.trials, TablePolicy(seed=args.seed))
     if args.csv:
         try:
             report.write_csv(args.csv)

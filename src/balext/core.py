@@ -10,9 +10,11 @@ on the conservative side of the real-valued one.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -343,7 +345,6 @@ class BlockSpec:
     n_bits: int
     m_bits: int
     s_exp: int
-    d_exp: int
 
     @property
     def valid(self) -> bool:
@@ -362,13 +363,17 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class SeqSchedule:
-    """Geometric block schedule for the stream transformer.
+    """Geometric block schedule for the stream transformer, with its offsets.
 
     Blocks are numbered from 1 with n_i = B**i.  Blocks whose derived
     output length rounds to zero are kept but flagged invalid; the first
     valid block is where output begins.  ``alpha`` is the dependency rate
     up to which the target randomness rate 1 - delta is claimed; when
     delta >= 1 that target is vacuous and ``rate_vacuous`` says so.
+
+    The offsets follow from ``blocks``: ``input_ends[i-1]`` is the input
+    bits each stream holds through block i, and ``output_starts[i-1]`` the
+    sum of m_bits, which is 0 for an invalid block, over the blocks before i.
     """
 
     tau: Fraction
@@ -377,6 +382,14 @@ class SeqSchedule:
     epsilon: Fraction
     alpha: Fraction
     blocks: tuple[BlockSpec, ...] = field(repr=False)
+    input_ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    output_starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        emitted = [b.m_bits for b in self.blocks[:-1]]
+        object.__setattr__(self, "input_ends",
+                           tuple(accumulate(b.n_bits for b in self.blocks)))
+        object.__setattr__(self, "output_starts", tuple(accumulate(emitted, initial=0)))
 
     @property
     def first_emitting_block(self) -> int | None:
@@ -386,17 +399,39 @@ class SeqSchedule:
         return None
 
     @property
-    def target_rate(self) -> Fraction:
-        return 1 - self.delta
+    def rate_vacuous(self) -> bool:
+        return self.delta >= 1
 
     @property
-    def rate_vacuous(self) -> bool:
-        return self.target_rate <= 0
+    def total_output_bits(self) -> int:
+        return self.output_starts[-1] + self.blocks[-1].m_bits
 
     def block(self, i: int) -> BlockSpec:
         if not 1 <= i <= len(self.blocks):
             raise OutOfRange(f"block index {i} outside 1..{len(self.blocks)}")
         return self.blocks[i - 1]
+
+    def input_range(self, i: int) -> tuple[int, int]:
+        n_bits = self.block(i).n_bits
+        end = self.input_ends[i - 1]
+        return end - n_bits, end
+
+    def output_range(self, i: int) -> tuple[int, int]:
+        b = self.block(i)
+        if not b.valid:
+            raise InvalidParams(f"block {i} emits no output")
+        start = self.output_starts[i - 1]
+        return start, start + b.m_bits
+
+    def block_of_output(self, pos: int) -> int:
+        if pos < 0 or pos >= self.total_output_bits:
+            raise OutOfRange(
+                f"output position {pos} outside the schedule "
+                f"(covers {self.total_output_bits} bits)"
+            )
+        # m_i never falls as n_i grows, so the blocks that emit nothing all
+        # come first and share start 0 with the first block that emits
+        return bisect.bisect_right(self.output_starts, pos)
 
 
 def derive_seq_schedule(
@@ -430,7 +465,7 @@ def derive_seq_schedule(
         n_i *= block_base
         m_i = m_num * n_i // m_den
         s_i = -(-s_num * n_i // s_den)
-        blocks.append(BlockSpec(index=i, n_bits=n_i, m_bits=m_i, s_exp=s_i, d_exp=m_i))
+        blocks.append(BlockSpec(index=i, n_bits=n_i, m_bits=m_i, s_exp=s_i))
     return SeqSchedule(
         tau=tau, delta=delta, block_base=block_base,
         epsilon=eps, alpha=alpha, blocks=tuple(blocks),

@@ -8,11 +8,10 @@ the sources module provides the statistical stand-in.
 
 Table policy: "canonical" works at micro scale only (descriptions up to
 ``tables.MICRO_DESCRIPTION_CAP`` bits), "random" gives a seeded explicit
-table up to ``tables.EXPLICIT_N_EXP_CAP`` (its cells held up to 2^20
-cells, computed from the seed's formula beyond, so a 12-bit extraction
-fills nothing), "keyed" computes colors on demand at any size, and "auto"
-picks random when the shape fits that cap and keyed otherwise (keyed key
-expanded from the seed).
+table up to ``tables.EXPLICIT_N_EXP_CAP`` (held or a formula by the rule
+in the :mod:`balext.tables` docstring), "keyed" computes colors on demand
+at any size, and "auto" picks random when the shape fits that cap and
+keyed otherwise (keyed key expanded from the seed).
 :func:`build_table` is the one builder behind a policy, and
 :func:`table_for` is the one cache around it, for the extractors, the
 experiments and the sequence transformer alike.
@@ -57,7 +56,8 @@ class TablePolicy:
         """The kind of table this policy gives for these params: "auto" is
         random when the shape fits the explicit caps and keyed otherwise."""
         if self.kind == "auto":
-            return "random" if _fits_explicit(params) else "keyed"
+            fits = params.n_exp <= EXPLICIT_N_EXP_CAP and params.m_exp <= EXPLICIT_M_EXP_CAP
+            return "random" if fits else "keyed"
         if self.kind not in ("random", "keyed", "canonical"):
             raise InvalidParams(f"unknown table policy kind {self.kind!r}")
         return self.kind
@@ -66,10 +66,6 @@ class TablePolicy:
 _table_cache: dict[tuple, BalancedTable] = {}
 _table_cache_lock = threading.Lock()
 _TABLE_CACHE_MAX = 8
-
-
-def _fits_explicit(params: TableParams) -> bool:
-    return params.n_exp <= EXPLICIT_N_EXP_CAP and params.m_exp <= EXPLICIT_M_EXP_CAP
 
 
 def build_table(params: TableParams, policy: TablePolicy) -> BalancedTable:
@@ -95,9 +91,9 @@ def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
     cached, keyed by (params, kind, seed): a keyed table is built in O(1)
     and never evicts one that cost a fill or carries a digest.  The cache
     keeps the newest ``_TABLE_CACHE_MAX`` tables.  A random table holds
-    its cells only up to 2^20 of them, two bytes each at most, so the
-    cache holds at most 16 MB of cells; a larger random table is a
-    formula and holds none.
+    its cells or is a formula by the rule in the :mod:`balext.tables`
+    docstring, so with two bytes a cell at most, the cache holds at most
+    16 MB of cells.
     """
     kind = policy.kind_for(params)
     if kind == "keyed":

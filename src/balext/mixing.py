@@ -15,11 +15,12 @@ be used as the state of a child stream (``substream``).  Consumers document
 which tags they reserve, so no two consumers ever draw from the same stream.
 
 Bounded draws are a multiply-high, as in Lemire, *Fast random integer
-generation in an interval* (arXiv:1805.10941): ``bounded(u, n)`` is
-``(u * n) >> 64`` for 2**32 <= n <= 2**64, and ``((u >> 32) * n) >> 32`` (the
-same with the low 32 bits of u cleared) for n < 2**32, where it keeps the
-32-bit fixed-point draws of earlier versions.  In numpy the 128-bit product
-is formed from 32-bit halves of u and n, each partial product within 64 bits.
+generation in an interval* (arXiv:1805.10941): the draw ``bounded(u, n)``
+of a 64-bit u in [0, n) is ``(u * n) >> 64`` for 2**32 <= n <= 2**64, and
+``((u >> 32) * n) >> 32`` (the same with the low 32 bits of u cleared) for
+n < 2**32, where it keeps the 32-bit fixed-point draws of earlier versions.
+In numpy the 128-bit product is formed from 32-bit halves of u and n, each
+partial product within 64 bits.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ def stream_value(state: int, k: int) -> int:
 def substream(state: int, tag: int) -> int:
     """State of the child stream reserved under ``tag``."""
     return stream_value(state, tag)
-
-
-def bounded(u: int, n: int) -> int:
-    """Map a 64-bit value to [0, n), 1 <= n <= 2**64, by multiply-high."""
-    if n < 1 << 32:
-        return ((u >> 32) * n) >> 32
-    return (u * n) >> 64
 
 
 def stream_bits(state: int, count: int) -> int:

@@ -4,8 +4,11 @@ Input streams split into consecutive blocks of geometrically growing
 length n_i = B**i.  Block i of each stream indexes a per-block table T_i
 and contributes that table's color (m_i bits) to the output; the output is
 the concatenation of the valid blocks' colors.  Blocks whose output length
-rounds to zero still consume their input bits, so stream offsets track the
-schedule exactly.
+rounds to zero still consume their input bits.  The schedule owns the
+offsets (:class:`~balext.core.SeqSchedule`): which input bits a block
+reads, which output bits it emits, and which block holds an output bit.
+A transformer never touches a block past the last one its output needs,
+so one long schedule serves every output length.
 
 Computing any output bit reads both input streams from position 0 through
 the end of the containing block and nothing else; the read set depends only
@@ -23,10 +26,9 @@ larger blocks get keyed tables.
 
 from __future__ import annotations
 
-import bisect
 import weakref
-from dataclasses import dataclass, field, replace
-from typing import Protocol, runtime_checkable
+from dataclasses import replace
+from typing import Protocol
 
 from .core import BitString, InvalidParams, OutOfRange, SeqSchedule
 from .extract import TablePolicy, table_for
@@ -39,7 +41,6 @@ _BLOCK_CHECK_SAMPLES = 16
 _checked_tables: weakref.WeakSet[BalancedTable] = weakref.WeakSet()
 
 
-@runtime_checkable
 class BitStream(Protocol):
     """A repeatable, position-addressable source of bits.
 
@@ -112,68 +113,6 @@ def read_prefix(stream: BitStream, count: int) -> BitString:
     return stream.prefix(count)
 
 
-@dataclass(frozen=True)
-class BlockLayout:
-    """Cumulative input/output offsets for a schedule.
-
-    ``input_ends[i-1]`` is the total input bits consumed per stream through
-    block i; output offsets cover only emitting blocks.
-    """
-
-    schedule: SeqSchedule
-    first_block: int | None
-    input_ends: tuple[int, ...]
-    output_starts: tuple[int, ...] = field(repr=False)
-
-    @classmethod
-    def from_schedule(cls, schedule: SeqSchedule) -> "BlockLayout":
-        input_ends = []
-        total = 0
-        for b in schedule.blocks:
-            total += b.n_bits
-            input_ends.append(total)
-        out_starts = []
-        out = 0
-        for b in schedule.blocks:
-            out_starts.append(out)
-            if b.valid:
-                out += b.m_bits
-        return cls(
-            schedule=schedule,
-            first_block=schedule.first_emitting_block,
-            input_ends=tuple(input_ends),
-            output_starts=tuple(out_starts),
-        )
-
-    @property
-    def total_output_bits(self) -> int:
-        last = self.schedule.blocks[-1]
-        return self.output_starts[-1] + (last.m_bits if last.valid else 0)
-
-    def input_range(self, i: int) -> tuple[int, int]:
-        end = self.input_ends[i - 1]
-        return end - self.schedule.block(i).n_bits, end
-
-    def output_range(self, i: int) -> tuple[int, int]:
-        b = self.schedule.block(i)
-        if not b.valid:
-            raise InvalidParams(f"block {i} emits no output")
-        start = self.output_starts[i - 1]
-        return start, start + b.m_bits
-
-    def block_of_output(self, pos: int) -> int:
-        if pos < 0 or pos >= self.total_output_bits:
-            raise OutOfRange(
-                f"output position {pos} outside the schedule "
-                f"(covers {self.total_output_bits} bits)"
-            )
-        i = bisect.bisect_right(self.output_starts, pos)
-        # skip back over non-emitting blocks that share the same start
-        while not self.schedule.block(i).valid:
-            i -= 1
-        return i
-
-
 def block_seed(master_seed: int, i: int) -> int:
     """Block i's table seed: output i of the master seed's stream."""
     return stream_value(master_seed, i)
@@ -187,12 +126,12 @@ def block_table(
     every block.  A block that fits the explicit cap gets an explicit
     random table, a larger one a keyed table.
 
-    An explicit table, formula tables (n_exp 11-12) included, is checked
-    once per table object, the first time :func:`table_for` returns it
-    here, whoever built it: a sampled prefix-balance check of
-    ``_BLOCK_CHECK_SAMPLES`` rectangles, or of one when S = N.  A failed
-    check logs one warning per table.  Two threads that get an unchecked
-    table at once may both check it.
+    An explicit table, held or a formula (the rule is in the
+    :mod:`balext.tables` docstring), is checked once per table object,
+    the first time :func:`table_for` returns it here, whoever built it: a
+    sampled prefix-balance check of ``_BLOCK_CHECK_SAMPLES`` rectangles,
+    or of one when S = N.  A failed check logs one warning per table.  Two
+    threads that get an unchecked table at once may both check it.
     """
     params = schedule.block(i).table_params()
     seed = block_seed(policy.seed, i)
@@ -236,22 +175,21 @@ class SequenceTransformer:
         self.y = y
         self.schedule = schedule
         self.policy = policy
-        self.layout = BlockLayout.from_schedule(schedule)
 
     def _block_output(self, i: int, x_prefix: BitString, y_prefix: BitString) -> BitString:
-        a, b = self.layout.input_range(i)
+        a, b = self.schedule.input_range(i)
         x_i = x_prefix.substring(a, b)
         y_i = y_prefix.substring(a, b)
         table = block_table(self.schedule, i, self.policy)
         return BitString(table.lookup(x_i.value, y_i.value), table.params.m_exp)
 
     def output_bit(self, pos: int) -> int:
-        i = self.layout.block_of_output(pos)
-        read_to = self.layout.input_ends[i - 1]
+        i = self.schedule.block_of_output(pos)
+        read_to = self.schedule.input_ends[i - 1]
         x_prefix = read_prefix(self.x, read_to)
         y_prefix = read_prefix(self.y, read_to)
         z_i = self._block_output(i, x_prefix, y_prefix)
-        start, _ = self.layout.output_range(i)
+        start, _ = self.schedule.output_range(i)
         return z_i.bit(pos - start)
 
     def transform_prefix(self, out_len: int) -> BitString:
@@ -259,17 +197,16 @@ class SequenceTransformer:
             raise InvalidParams("out_len must be >= 0")
         if out_len == 0:
             return BitString.zeros(0)
-        if out_len > self.layout.total_output_bits:
+        if out_len > self.schedule.total_output_bits:
             raise InvalidParams(
-                f"schedule covers only {self.layout.total_output_bits} output bits"
+                f"schedule covers only {self.schedule.total_output_bits} output bits"
             )
-        i_max = self.layout.block_of_output(out_len - 1)
-        read_to = self.layout.input_ends[i_max - 1]
+        i_max = self.schedule.block_of_output(out_len - 1)
+        read_to = self.schedule.input_ends[i_max - 1]
         x_prefix = read_prefix(self.x, read_to)
         y_prefix = read_prefix(self.y, read_to)
         out = BitString.zeros(0)
-        first = self.layout.first_block
-        for i in range(first, i_max + 1):
+        for i in range(self.schedule.first_emitting_block, i_max + 1):
             out = out.concat(self._block_output(i, x_prefix, y_prefix))
         return out.prefix(out_len)
 

@@ -5,14 +5,16 @@ Three backends produce a table T : [N] x [N] -> [M]:
 * explicit-random: cells drawn from seeded SplitMix64 streams, one stream
   per row.  Row r's stream is ``substream(seed, r)``; the color of cell
   (r, c) is the low m_exp bits of that stream's c-th output.  Bit-exact
-  across platforms and runs.  A table of at most 2^20 cells holds its
-  cells; a larger one is a formula: it stores no cells, and its lookups,
-  pairwise lookups and rectangle grids compute cells from (seed, row,
-  col).  Its digest, file and bytes stream from one fill loop, in row
-  stripes of at most ``_FILL_CHUNK`` cells: worker k of W (one per
-  usable CPU, up to 2) fills stripes k, k + W, ... and hands each to the
-  sink in turn, so the sink sees the rows in order whatever W is, and no
-  full cell array is ever held.
+  across platforms and runs.  The rule for every random table: held at
+  <= 2^20 cells, formula beyond.  A held table's cells are the formula's
+  grid over every row and column, filled on the calling thread.  A
+  formula stores no cells: its lookups, pairwise lookups and rectangle
+  grids compute cells from (seed, row, col), and its digest, file and
+  bytes stream from one fill loop, in row stripes of at most
+  ``_FILL_CHUNK`` cells: worker k of W (one per usable CPU, up to 2)
+  fills stripes k, k + W, ... and hands each to the sink in turn, so the
+  sink sees the rows in order whatever W is, and no full cell array is
+  ever held.
 * explicit-canonical: exhaustive search, in lexicographic order of the
   row-major color sequence, for the first table passing exhaustive
   (S, D)-balance verification.  Only feasible at micro scale.
@@ -84,8 +86,8 @@ EXPLICIT_M_EXP_CAP = 16      # colors must fit the 1/2-byte cell storage
 MICRO_DESCRIPTION_CAP = 24   # canonical search cap on N*N*m_exp bits
 _CONDITION_EXP_CAP = 0xFFFF   # existence check: 2**cap is an 8 KB integer
 _FILL_CHUNK = 1 << 16        # cells per fill stripe: its two uint64 buffers stay in cache
-_SERIAL_FILL_CELLS = 1 << 20  # random tables up to this size hold their cells and
-                              # fill on the calling thread alone; larger ones are formulas
+_SERIAL_FILL_CELLS = 1 << 20  # random tables up to this size hold their cells, filled
+                              # on the calling thread alone; larger ones are formulas
 _FILL_MAX_WORKERS = 2         # each worker holds two _FILL_CHUNK uint64 buffers (1 MB);
                               # more workers have been timed only on 2 CPUs
 try:                          # fill threads: the CPUs this process may run on
@@ -468,30 +470,29 @@ def _fill_rows(row_states: np.ndarray, col_steps: np.ndarray, out: np.ndarray,
             cells &= mask
 
 
-def _fill_stripes(seed: int, n_exp: int, m_exp: int, sink, out=None) -> None:
+def _fill_stripes(seed: int, n_exp: int, m_exp: int, sink) -> None:
     """Pass random table (seed, n_exp, m_exp)'s cells to ``sink`` in row
-    stripes of at most ``_FILL_CHUNK`` cells, top to bottom; with ``out``,
-    an (N, N) cell array, each stripe is filled in place there.
+    stripes of at most ``_FILL_CHUNK`` cells, top to bottom.
 
-    A table of more than ``_SERIAL_FILL_CELLS`` cells is filled by
-    ``_FILL_WORKERS`` threads: worker k fills stripes k, k + W, ... into
-    its own stripe buffer, and passes stripe i to ``sink`` only after
-    stripe i - 1's call has returned, so a sink that hashes or writes runs
-    on the workers in turn while the others fill.  Every cell depends only
-    on (seed, row, col), so the stripes do not depend on W.  If a worker
-    raises, the sink included, every worker stops at its next turn and the
-    error reaches the caller.  Buffers are allocated here, on the calling
-    thread, so that they do not stay resident in per-thread arenas.
+    ``_FILL_WORKERS`` threads fill the stripes: worker k fills stripes k,
+    k + W, ... into its own stripe buffer, and passes stripe i to ``sink``
+    only after stripe i - 1's call has returned, so a sink that hashes or
+    writes runs on the workers in turn while the others fill.  Every cell
+    depends only on (seed, row, col), so the stripes do not depend on W.
+    If a worker raises, the sink included, every worker stops at its next
+    turn and the error reaches the caller.  Buffers are allocated here, on
+    the calling thread, so that they do not stay resident in per-thread
+    arenas.
     """
     n_side = 1 << n_exp
     rows = min(n_side, max(1, _FILL_CHUNK // n_side))
     stripes = range(0, n_side, rows)
-    workers = 1 if n_side * n_side <= _SERIAL_FILL_CELLS else _FILL_WORKERS
+    workers = _FILL_WORKERS
     row_states = _row_states(seed, np.arange(n_side, dtype=np.uint64))
     col_steps = _col_steps(np.arange(n_side, dtype=np.uint64))
     mask = _narrow_mask(m_exp)
     buffers = [(np.empty((2, rows, n_side), dtype=np.uint64),
-                out if out is not None else np.empty((rows, n_side), dtype=cell_dtype(m_exp)))
+                np.empty((rows, n_side), dtype=cell_dtype(m_exp)))
                for _ in range(workers)]
     turn = threading.Condition()
     sent, failed = 0, False
@@ -503,7 +504,7 @@ def _fill_stripes(seed: int, n_exp: int, m_exp: int, sink, out=None) -> None:
             for i in range(k, len(stripes), workers):
                 r0 = stripes[i]
                 r1 = min(n_side, r0 + rows)
-                stripe = cells[r0:r1] if out is not None else cells[:r1 - r0]
+                stripe = cells[:r1 - r0]
                 _fill_rows(row_states[r0:r1], col_steps, stripe, scratch, mask)
                 with turn:
                     turn.wait_for(lambda: sent == i or failed)
@@ -528,29 +529,23 @@ def _fill_stripes(seed: int, n_exp: int, m_exp: int, sink, out=None) -> None:
             list(pool.map(fill, range(workers)))
 
 
-def _random_cells(seed: int, n_exp: int, m_exp: int) -> np.ndarray:
-    """Random table (seed, n_exp, m_exp)'s cells as one read-only array."""
-    n_side = 1 << n_exp
-    out = np.empty((n_side, n_side), dtype=cell_dtype(m_exp))
-    _fill_stripes(seed, n_exp, m_exp, lambda stripe: None, out)
-    out.setflags(write=False)
-    return out
-
-
 def random_table(params: TableParams, seed: int) -> BalancedTable:
-    """Explicit table with independently uniform seeded-pseudorandom colors;
-    one of more than ``_SERIAL_FILL_CELLS`` cells is a formula, built in
-    O(1), that holds no cells."""
+    """Explicit table with independently uniform seeded-pseudorandom colors:
+    its cells are the formula's :meth:`BalancedTable.grid` over every row
+    and column, held when there are at most ``_SERIAL_FILL_CELLS`` of them;
+    a larger table stays the formula, built in O(1)."""
     if params.n_exp > EXPLICIT_N_EXP_CAP:
         raise TooLarge(f"n_exp = {params.n_exp} exceeds the explicit-backend cap "
                        f"{EXPLICIT_N_EXP_CAP}")
     if params.m_exp > EXPLICIT_M_EXP_CAP:
         raise TooLarge(f"m_exp = {params.m_exp} exceeds explicit color storage (16)")
-    seed &= MASK64
-    cells = None
-    if params.n_side ** 2 <= _SERIAL_FILL_CELLS:
-        cells = _random_cells(seed, params.n_exp, params.m_exp)
-    return BalancedTable(params, BACKEND_RANDOM, seed, cells)
+    formula = BalancedTable(params, BACKEND_RANDOM, seed & MASK64, None)
+    if params.n_side ** 2 > _SERIAL_FILL_CELLS:
+        return formula
+    side = np.arange(params.n_side)
+    cells = formula.grid(side, side)
+    cells.setflags(write=False)
+    return BalancedTable(params, BACKEND_RANDOM, formula.seed_or_key, cells)
 
 
 def keyed_table(params: TableParams, key: int) -> BalancedTable:

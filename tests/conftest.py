@@ -1,9 +1,9 @@
-"""Shared test helpers: structured balanced micro tables, the naive
-all-colorset balance oracle, scalar per-rectangle check oracles, a scalar
-partial Fisher-Yates, a dict-based oracle for the MatchCompressor parse,
-a one-trial-at-a-time oracle for planted experiments and a per-word
-oracle for the keyed mixing function, and a tracemalloc peak.  Every test
-starts and ends with an empty table cache."""
+"""Shared test helpers: the scalar bounded draw, structured balanced micro
+tables, the naive all-colorset balance oracle, scalar per-rectangle check
+oracles, a scalar partial Fisher-Yates, a dict-based oracle for the
+MatchCompressor parse, a one-trial-at-a-time oracle for planted
+experiments and a per-word oracle for the keyed mixing function, and a
+tracemalloc peak.  Every test starts and ends with an empty table cache."""
 
 import tracemalloc
 from collections import Counter
@@ -15,9 +15,17 @@ import pytest
 
 from balext import extract, seqtransform
 from balext.core import BitString, TableParams, ceil_log2
-from balext.mixing import GAMMA, MASK64, bounded, scramble, stream_value
+from balext.mixing import GAMMA, MASK64, scramble, stream_value
 from balext.sources import PlantedPairSpec, TrialRow, dep_estimate, gen_planted_pair
 from balext.tables import BACKEND_RANDOM, BalancedTable
+
+
+def bounded(u: int, n: int) -> int:
+    """Map a 64-bit value to [0, n), 1 <= n <= 2**64, by multiply-high: the
+    scalar form of the draw that ``mixing.partial_shuffle_batch`` makes."""
+    if n < 1 << 32:
+        return ((u >> 32) * n) >> 32
+    return (u * n) >> 64
 
 
 def structured_table(seed: int, n_exp: int = 3, m_exp: int = 2) -> BalancedTable:

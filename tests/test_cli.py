@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -406,8 +407,8 @@ class TestTransformCommand:
 
     @pytest.mark.parametrize("out_bits", [0, 1, 11, 400])
     def test_transform_matches_the_longest_schedule(self, tmp_path, capsys, out_bits):
-        # the command keeps only the blocks it needs; the bits are those of
-        # the longest schedule
+        # the command runs the longest schedule, of which it reads only the
+        # blocks it needs
         from balext.core import BitString, derive_seq_schedule
         from balext.extract import TablePolicy
         from balext.seqtransform import BitStringStream, SequenceTransformer
@@ -430,8 +431,48 @@ class TestTransformCommand:
             TablePolicy(kind="auto", seed=3),
         )
         assert out.read_bytes() == tr.transform_prefix(out_bits).to_bytes()
-        used = tr.layout.block_of_output(out_bits - 1) if out_bits else 0
+        used = tr.schedule.block_of_output(out_bits - 1) if out_bits else 0
         assert stdout == f"bits={out_bits} blocks_used={used} out={out}\n"
+
+    @pytest.mark.parametrize("x_bytes, tau, out_bits, code, out_len, sha, stdout, err", [
+        # no output bits
+        (200, "1/2", 0, 0, 0, hashlib.sha256(b"").hexdigest(),
+         "bits=0 blocks_used=0 out={out}\n", ""),
+        # the last output bit the inputs cover: block 9 ends at input bit 1022
+        (200, "1/2", 491, 0, 62,
+         "270d229a8dd4b21dd8468bd70a27fdfa0d780568d981198c12ab6919224a0b55",
+         "bits=491 blocks_used=9 out={out}\n", ""),
+        # one past it: block 10 ends at input bit 2046
+        (200, "1/2", 492, 3, None, None, "",
+         "error: io: input too short: need 2046 bits, have 1600 (x) / 1600 (y)\n"),
+        # the last bit the 64-block schedule covers at tau = 2^-60, then one past it
+        (200, f"1/{2**60}", 26, 3, None, None, "",
+         "error: io: input too short: need 36893488147419103230 bits, "
+         "have 1600 (x) / 1600 (y)\n"),
+        (200, f"1/{2**60}", 27, 1, None, None, "",
+         "error: invalid-params: schedule cannot cover the requested output length\n"),
+        # x shorter than y
+        (100, "1/2", 300, 3, None, None, "",
+         "error: io: input too short: need 1022 bits, have 800 (x) / 1600 (y)\n"),
+    ])
+    def test_transform_bytes_are_pinned(self, tmp_path, capsys, x_bytes, tau, out_bits,
+                                        code, out_len, sha, stdout, err):
+        data = bytes(range(7, 7 + 200))
+        x, y = tmp_path / "x.bin", tmp_path / "y.bin"
+        x.write_bytes(data[:x_bytes])
+        y.write_bytes(data[::-1])
+        out = tmp_path / "z.bin"
+        got = run(
+            capsys, "transform", "--x", str(x), "--y", str(y), "--tau", tau,
+            "--delta", "1/2", "--B", "2", "--out-bits", str(out_bits), "--seed", "3",
+            "--out", str(out),
+        )
+        assert got == (code, stdout.format(out=out), err)
+        if out_len is None:
+            assert not out.exists()
+        else:
+            z = out.read_bytes()
+            assert (len(z), hashlib.sha256(z).hexdigest()) == (out_len, sha)
 
     def test_transform_schedule_that_cannot_cover(self, tmp_path, capsys):
         x = tmp_path / "x.bin"

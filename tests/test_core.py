@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balext.core import (
@@ -205,8 +205,52 @@ class TestSeqSchedule:
         expected = [(base**i, math.floor(F(97, 100) * tau * base**i),
                      math.ceil(F(98, 100) * tau * base**i)) for i in range(1, 65)]
         assert [(b.n_bits, b.m_bits, b.s_exp) for b in s.blocks] == expected
-        assert all(b.d_exp == b.m_bits for b in s.blocks)
         assert [b.index for b in s.blocks] == list(range(1, 65))
+
+    @settings(max_examples=150, deadline=None)
+    @given(tau=st.fractions(min_value=0, max_value=1, max_denominator=1000)
+           .filter(lambda t: t > 0),
+           delta=st.fractions(min_value=F(1, 100), max_value=4, max_denominator=100),
+           base=st.integers(min_value=2, max_value=12),
+           max_block=st.integers(min_value=1, max_value=20))
+    def test_offsets_match_a_scan_of_the_blocks(self, tau, delta, base, max_block):
+        s = derive_seq_schedule(tau, delta, base, max_block)
+
+        def block_by_scan(pos):
+            # the emitting block whose output bits hold pos, by a linear scan
+            out = 0
+            for b in s.blocks:
+                if b.valid and out <= pos < out + b.m_bits:
+                    return b.index
+                out += b.m_bits if b.valid else 0
+            return None
+
+        ends, starts, probes = [], [], set()
+        inp = out = 0
+        for b in s.blocks:
+            assert s.input_range(b.index) == (inp, inp + b.n_bits)
+            inp += b.n_bits
+            ends.append(inp)
+            starts.append(out)
+            if b.valid:
+                assert s.output_range(b.index) == (out, out + b.m_bits)
+                probes |= {out - 1, out, out + b.m_bits // 2, out + b.m_bits - 1}
+                out += b.m_bits
+            else:
+                with pytest.raises(InvalidParams, match=f"block {b.index} emits no output"):
+                    s.output_range(b.index)
+        assert s.input_ends == tuple(ends)
+        assert s.output_starts == tuple(starts)
+        assert s.total_output_bits == out
+        for pos in sorted(p for p in probes if p >= 0):
+            assert s.block_of_output(pos) == block_by_scan(pos)
+        for pos in (-1, out):
+            with pytest.raises(OutOfRange, match=rf"output position {pos} outside the "
+                                                 rf"schedule \(covers {out} bits\)"):
+                s.block_of_output(pos)
+        for i in (0, len(s.blocks) + 1):
+            with pytest.raises(OutOfRange, match=f"block index {i} outside"):
+                s.input_range(i)
 
     def test_preconditions(self):
         with pytest.raises(InvalidParams):

@@ -7,7 +7,6 @@ from balext.core import TooLarge
 from balext.mixing import (
     GAMMA,
     MASK64,
-    bounded,
     partial_shuffle_batch,
     scramble,
     scramble_inplace,
@@ -17,7 +16,7 @@ from balext.mixing import (
     substream,
 )
 
-from conftest import partial_shuffle_oracle
+from conftest import bounded, partial_shuffle_oracle
 
 # First outputs of SplitMix64 seeded with 0 (widely published sequence);
 # pins the generator across platforms and versions.

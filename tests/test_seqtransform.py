@@ -10,7 +10,6 @@ from balext.core import BitString, InvalidParams, OutOfRange, derive_seq_schedul
 from balext.extract import TablePolicy, table_for
 from balext.seqtransform import (
     BitStringStream,
-    BlockLayout,
     CountingBitStream,
     SeededBitStream,
     SequenceTransformer,
@@ -115,26 +114,26 @@ class TestStreams:
 
 class TestLayout:
     def test_b2_example(self):
-        layout = BlockLayout.from_schedule(b2_schedule())
-        assert layout.first_block == 2
-        assert layout.input_ends == (2, 6, 14, 30)
+        s = b2_schedule()
+        assert s.first_emitting_block == 2
+        assert s.input_ends == (2, 6, 14, 30)
         # output positions 0, 1..3, 4..10 map to blocks 2, 3, 4
-        assert layout.block_of_output(0) == 2
-        assert [layout.block_of_output(p) for p in (1, 2, 3)] == [3, 3, 3]
-        assert [layout.block_of_output(p) for p in (4, 10)] == [4, 4]
-        assert layout.total_output_bits == 11
+        assert s.block_of_output(0) == 2
+        assert [s.block_of_output(p) for p in (1, 2, 3)] == [3, 3, 3]
+        assert [s.block_of_output(p) for p in (4, 10)] == [4, 4]
+        assert s.total_output_bits == 11
         with pytest.raises(OutOfRange):
-            layout.block_of_output(11)
+            s.block_of_output(11)
 
     def test_input_ranges_cover_invalid_blocks(self):
-        layout = BlockLayout.from_schedule(b2_schedule())
-        assert layout.input_range(1) == (0, 2)  # consumed though it emits nothing
-        assert layout.input_range(4) == (14, 30)
+        s = b2_schedule()
+        assert s.input_range(1) == (0, 2)  # consumed though it emits nothing
+        assert s.input_range(4) == (14, 30)
 
     def test_output_range_of_invalid_block(self):
-        layout = BlockLayout.from_schedule(b2_schedule())
+        s = b2_schedule()
         with pytest.raises(InvalidParams):
-            layout.output_range(1)
+            s.output_range(1)
 
 
 class TestTransform:
@@ -265,12 +264,11 @@ class TestBlockTables:
 
         monkeypatch.setattr(extract, "random_table", counting)
         x, y = SeededBitStream(101), SeededBitStream(202)
-        layout = BlockLayout.from_schedule(sched)
-        z = SequenceTransformer(x, y, sched, pol).transform_prefix(layout.total_output_bits)
+        z = SequenceTransformer(x, y, sched, pol).transform_prefix(sched.total_output_bits)
         assert [p.n_exp for p in built] == [4, 8]
         built.clear()
         for i in range(2, 13):
-            start, end = layout.output_range(i)
+            start, end = sched.output_range(i)
             for pos in (start, end - 1):
                 tr = SequenceTransformer(SeededBitStream(101), SeededBitStream(202),
                                          sched, pol)

@@ -134,7 +134,7 @@ class TestRandomTable:
     def test_in_place_fill_matches_stream_rule(self, n_exp, m_exp):
         # the fill itself, since a table needs n_exp >= 1
         seed = 0x5EED + 31 * m_exp
-        cells = tables._random_cells(seed, n_exp, m_exp)
+        cells = streamed_cells(seed, n_exp, m_exp)
         n_side, mask = 1 << n_exp, (1 << m_exp) - 1
         assert cells.shape == (n_side, n_side)
         assert cells.dtype == (np.uint8 if m_exp <= 8 else np.uint16)
@@ -143,6 +143,15 @@ class TestRandomTable:
             assert np.array_equal(cells[r], stream_block_np(state, 0, n_side) & mask)
         for r, c in {(0, 0), (n_side - 1, n_side - 1), (n_side // 3, n_side // 2)}:
             assert int(cells[r, c]) == stream_value(stream_value(seed, r), c) & mask
+
+    @pytest.mark.parametrize("n_exp, m_exp", [(10, 4), (8, 8), (4, 2), (10, 16), (1, 9)])
+    def test_held_cells_equal_the_streamed_fill(self, n_exp, m_exp):
+        # a held table's grid fill and a formula table's stripes agree cell for cell
+        t = random_table(TableParams(n_exp, m_exp, 1, 1), 0xD1CE + m_exp)
+        assert not t.cells.flags.writeable
+        streamed = streamed_cells(0xD1CE + m_exp, n_exp, m_exp)
+        assert t.cells.dtype == streamed.dtype
+        assert t.cells.tobytes() == streamed.tobytes()
 
     def test_color_frequencies_uniform(self):
         # global frequency of each color within 5 sigma of N^2/M
@@ -167,6 +176,25 @@ class TestRandomTable:
             t.lookup(0, -1)
 
 
+def streamed_cells(seed: int, n_exp: int, m_exp: int) -> np.ndarray:
+    """The stripes ``_fill_stripes`` passes to its sink, stacked top to
+    bottom into one (N, N) array of the stripes' dtype."""
+    n_side = 1 << n_exp
+    out, filled = None, 0
+
+    def sink(stripe):
+        nonlocal out, filled
+        if out is None:
+            out = np.empty((n_side, n_side), dtype=stripe.dtype)
+        assert stripe.dtype == out.dtype and stripe.shape[1] == n_side
+        out[filled:filled + len(stripe)] = stripe
+        filled += len(stripe)
+
+    tables._fill_stripes(seed, n_exp, m_exp, sink)
+    assert filled == n_side
+    return out
+
+
 class _RecordingPool(ThreadPoolExecutor):
     sizes: list[int] = []
 
@@ -176,22 +204,21 @@ class _RecordingPool(ThreadPoolExecutor):
 
 
 class TestParallelFill:
-    """A large fill splits its rows into one range per worker; the cells
+    """The stripe fill deals its stripes out to the workers; the cells
     must not depend on how many there are."""
 
     @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
     @pytest.mark.parametrize("m_exp", [1, 4, 8, 16])
     @pytest.mark.parametrize("n_exp", [3, 10, 11, 12])
     def test_cells_do_not_depend_on_worker_count(self, monkeypatch, n_exp, m_exp, seed):
-        # the serial limit is lifted, so that the small tables split too
+        # the small tables, which hold their cells, are streamed here too
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(tables, "_SERIAL_FILL_CELLS", 0)
         n_side, mask = 1 << n_exp, (1 << m_exp) - 1
         fills = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(tables, "_FILL_WORKERS", workers)
             _RecordingPool.sizes = []
-            fills.append(tables._random_cells(seed, n_exp, m_exp))
+            fills.append(streamed_cells(seed, n_exp, m_exp))
             assert _RecordingPool.sizes == ([workers] if workers > 1 else [])
         want = fills[0]
         assert want.dtype == (np.uint8 if m_exp <= 8 else np.uint16)
@@ -210,12 +237,11 @@ class TestParallelFill:
     @pytest.mark.parametrize("workers", [2, 3, 5])
     @pytest.mark.parametrize("n_exp", [1, 3, 6])
     def test_ranges_of_a_few_rows(self, monkeypatch, n_exp, workers):
-        # with the serial limit lifted, small tables split into ranges that
-        # end inside a fill chunk, and into fewer ranges than workers
+        # small tables stream as one stripe that ends inside a fill chunk,
+        # so some workers get no stripe
         seed, n_side = 0xF111, 1 << n_exp
-        monkeypatch.setattr(tables, "_SERIAL_FILL_CELLS", 0)
         monkeypatch.setattr(tables, "_FILL_WORKERS", workers)
-        cells = tables._random_cells(seed, n_exp, 5)
+        cells = streamed_cells(seed, n_exp, 5)
         for r in range(n_side):
             want = stream_block_np(stream_value(seed, r), 0, n_side) & 31
             assert np.array_equal(cells[r], want)
@@ -228,7 +254,7 @@ class TestParallelFill:
 
         def build(i):
             barrier.wait()
-            got[i] = tables._random_cells(0xABC, 12, 4)
+            got[i] = streamed_cells(0xABC, 12, 4)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -244,7 +270,7 @@ class TestParallelFill:
         assert got[0] is not got[1]
         assert np.array_equal(got[0], got[1])
         monkeypatch.setattr(tables, "_FILL_WORKERS", 1)
-        assert np.array_equal(got[0], tables._random_cells(0xABC, 12, 4))
+        assert np.array_equal(got[0], streamed_cells(0xABC, 12, 4))
         assert int(got[0][4095, 17]) == stream_value(stream_value(0xABC, 4095), 17) & 15
 
     def test_small_fill_starts_no_thread(self, monkeypatch):
