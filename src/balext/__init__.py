@@ -27,9 +27,7 @@ from .seqtransform import (
     transform_prefix,
 )
 from .sources import (
-    ComplexityEstimator,
     ExperimentReport,
-    ExternalCompressorEstimator,
     MatchCompressor,
     PlantedPairSpec,
     collision_entropy_empirical,
@@ -42,7 +40,6 @@ from .tables import (
     BalancedTable,
     ExistenceCheck,
     canonical_table,
-    existence_condition,
     existence_condition_exponents,
     keyed_color,
     keyed_table,

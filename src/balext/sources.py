@@ -5,7 +5,7 @@ The planted generator produces pairs x = r1 || shared || 0-pad and
 y = r2 || shared || 0-pad whose dependency is |shared| by construction,
 giving every experiment a ground-truth axis next to the noisy estimate.
 
-The built-in complexity surrogate is a bit-level greedy parser with an
+The complexity surrogate is a bit-level greedy parser with an
 unbounded previous-occurrence window, whose match decisions for all
 positions come from one numpy sort (see :class:`MatchCompressor` for the
 exact token costs and the parse).  It is self-contained and platform
@@ -25,11 +25,9 @@ import functools
 import itertools
 import json
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -78,9 +76,8 @@ class PlantedPairSpec:
         return _bit_counts(self.n, self.sigma, self.alpha)[1]
 
 
-@functools.lru_cache(maxsize=256)
 def _bit_counts(n: int, sigma, alpha) -> tuple[int, int]:
-    # (shared, random) bits of a pair; every trial of an experiment asks again
+    # (shared, random) bits of a pair
     return round_half_up(Fraction(alpha) * n), round_half_up(Fraction(sigma) * n)
 
 
@@ -132,11 +129,6 @@ def _planted_pairs_np(
 # ---------------------------------------------------------------------------
 
 
-class ComplexityEstimator(Protocol):
-    def estimate(self, s: BitString) -> float: ...
-
-
-_MEMO_MAX = 1 << 16   # costs remembered per MatchCompressor
 _LITERAL_ONLY_MAX = 25   # no match pays in a shorter input (MatchCompressor)
 _KEY_BITS = 64   # width of the packed sort keys (MatchCompressor)
 _SCAN_MAX = 16   # candidates scanned at a take without a numpy filter first
@@ -344,27 +336,10 @@ class MatchCompressor:
     and for L in 10..12 only if offs(i) < L - 8 <= 4, i.e. i <= 8 < L.  The
     first match that pays is at i = L = 13 (12 < 13), so n = 26 is the
     shortest input that can cost less: 26 zeros cost 33, not 36.
-
-    ``estimate`` remembers the cost of each (value, length) it has parsed,
-    up to ``_MEMO_MAX`` entries per instance; the memo starts over when
-    full.  Threads may share an instance: the check for a full memo and the
-    insert run under one lock.  ``cost_bits`` always parses.
     """
 
-    def __init__(self) -> None:
-        self._memo: dict[tuple[int, int], int] = {}
-        self._memo_lock = threading.Lock()
-
     def estimate(self, s: BitString) -> float:
-        key = (s.value, s.length)
-        cost = self._memo.get(key)
-        if cost is None:
-            cost = self.cost_bits(s)
-            with self._memo_lock:
-                if len(self._memo) >= _MEMO_MAX:
-                    self._memo.clear()
-                self._memo[key] = cost
-        return float(cost)
+        return float(self.cost_bits(s))
 
     def cost_bits(self, s: BitString) -> int:
         n = len(s)
@@ -420,22 +395,8 @@ class MatchCompressor:
         return cost
 
 
-class ExternalCompressorEstimator:
-    """Adapter for byte-oriented compressors (e.g. zlib.compress).
-
-    Estimates 8 * len(compress(packed bits)).  Excluded from acceptance
-    tests; results depend on the external library's version.
-    """
-
-    def __init__(self, compress: Callable[[bytes], bytes]):
-        self._compress = compress
-
-    def estimate(self, s: BitString) -> float:
-        return 8.0 * len(self._compress(s.to_bytes()))
-
-
-def dep_estimate(x: BitString, y: BitString, est: ComplexityEstimator) -> float:
-    """est(x) + est(y) - est(x || y); may be negative for real estimators."""
+def dep_estimate(x: BitString, y: BitString, est: MatchCompressor) -> float:
+    """est(x) + est(y) - est(x || y); may be negative."""
     return est.estimate(x) + est.estimate(y) - est.estimate(x.concat(y))
 
 
@@ -467,7 +428,7 @@ def collision_entropy_empirical(samples) -> float:
     """-log2 of the empirical collision probability sum p_i^2."""
     counts, total = _as_counter(samples)
     cp = sum(c * c for c in counts.values()) / (total * total)
-    return -math.log2(cp)
+    return -math.log2(cp) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +495,10 @@ class ExperimentReport:
 _BATCH_MAX_BITS = 64   # trials are batched while an input fits one uint64
 
 
-def _experiment_chunk(spec, table, m_exp, estimator, start, count):
+def _experiment_chunk(spec, table, trials):
     n = spec.n
     n_shared, n_random = _bit_counts(n, spec.sigma, spec.alpha)
-    seeds = stream_block_np(spec.seed, start, count)
+    seeds = stream_block_np(spec.seed, 0, trials)
     zs = None
     if n <= _BATCH_MAX_BITS:
         xs, ys = _planted_pairs_np(n, n_shared, n_random, seeds)
@@ -552,13 +513,14 @@ def _experiment_chunk(spec, table, m_exp, estimator, start, count):
     # every distinct pair is estimated once (and looked up once in a keyed
     # table), in order of first appearance
     dep_of = dict.fromkeys(pairs)
+    est = MatchCompressor()
     for x, y in dep_of:
-        dep_of[x, y] = dep_estimate(BitString(x, n), BitString(y, n), estimator)
+        dep_of[x, y] = dep_estimate(BitString(x, n), BitString(y, n), est)
     if zs is None:
         color_of = {p: table.lookup(*p) for p in dep_of}
         zs = [color_of[p] for p in pairs]
-    fmt = f"0{(m_exp + 3) // 4}x"
-    rows = list(map(TrialRow, range(start, start + count), seeds.tolist(),
+    fmt = f"0{(table.params.m_exp + 3) // 4}x"
+    rows = list(map(TrialRow, range(trials), seeds.tolist(),
                     itertools.repeat(n_shared), [dep_of[p] for p in pairs],
                     [format(z, fmt) for z in zs]))
     return rows, Counter(zs)
@@ -568,7 +530,6 @@ def run_extraction_experiment(
     spec: PlantedPairSpec,
     trials: int,
     policy: TablePolicy = TablePolicy(),
-    estimator: ComplexityEstimator | None = None,
 ) -> ExperimentReport:
     """Extract one output per trial through a single fixed table.
 
@@ -579,16 +540,15 @@ def run_extraction_experiment(
     is batched: its seeds, pairs and explicit-table cells (stored, or from
     a random table's formula) come from numpy uint64 arrays.  Longer
     inputs run one trial at a time through :func:`gen_planted_pair`.
-    Either way the estimator and a keyed table see each distinct (x, y)
-    once.
+    Either way each distinct (x, y) is estimated once, and looked up once
+    in a keyed table.
     """
     if trials < 1:
         raise InvalidParams("need trials >= 1")
-    estimator = estimator if estimator is not None else MatchCompressor()
     params = derive_string_params(spec.n, spec.sigma, spec.alpha, strict=False)
     table = table_for(params.table_params(), policy)
     m_exp = params.m_exp
-    rows, outs = _experiment_chunk(spec, table, m_exp, estimator, 0, trials)
+    rows, outs = _experiment_chunk(spec, table, trials)
 
     deps = [r.dep_hat for r in rows]
     nominal = (2 * Fraction(spec.sigma) - Fraction(spec.alpha)) * spec.n - 9 * ceil_log2(

@@ -169,12 +169,6 @@ def existence_condition_exponents(
         terms *= 2
 
 
-def existence_condition(params: TableParams) -> ExistenceCheck:
-    return existence_condition_exponents(
-        params.n_exp, params.m_exp, params.s_exp, params.d_exp
-    )
-
-
 # ---------------------------------------------------------------------------
 # The keyed mixing function
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ import pytest
 from balext import extract, seqtransform
 from balext.core import BitString, TableParams, ceil_log2
 from balext.mixing import GAMMA, MASK64, scramble, stream_value
-from balext.sources import PlantedPairSpec, TrialRow, dep_estimate, gen_planted_pair
+from balext.sources import (
+    MatchCompressor,
+    PlantedPairSpec,
+    TrialRow,
+    dep_estimate,
+    gen_planted_pair,
+)
 from balext.tables import BACKEND_RANDOM, BalancedTable
 
 
@@ -224,14 +230,15 @@ def match_cost_oracle(s: BitString) -> int:
     return cost
 
 
-def experiment_chunk_oracle(spec, table, m_exp, estimator, start, count):
-    """(rows, output counts) of trials start .. start+count-1, one trial at a
-    time: a spec and a pair per trial seed, the table's scalar lookup and an
-    estimate per trial, as ``sources._experiment_chunk`` returns them."""
-    hexw = (m_exp + 3) // 4
+def experiment_chunk_oracle(spec, table, trials):
+    """(rows, output counts) of trials 0 .. trials-1, one trial at a time: a
+    spec and a pair per trial seed, the table's scalar lookup and an estimate
+    per trial, as ``sources._experiment_chunk`` returns them."""
+    hexw = (table.params.m_exp + 3) // 4
+    estimator = MatchCompressor()
     rows = []
     outs: Counter = Counter()
-    for t in range(start, start + count):
+    for t in range(trials):
         t_seed = stream_value(spec.seed, t)
         x, y = gen_planted_pair(PlantedPairSpec(spec.n, spec.sigma, spec.alpha, t_seed))
         z = table.lookup(x.value, y.value)

@@ -500,6 +500,17 @@ class TestExperimentCommand:
         assert doc["trials"] == 300 and doc["m_exp"] == 8
         assert csvp.read_text().startswith("trial,seed,dep_planted,dep_hat,z_hex")
 
+    def test_single_trial_entropies_print_positive_zero(self, tmp_path, capsys):
+        summ = tmp_path / "e.json"
+        code, stdout, _ = run(
+            capsys, "experiment", "--n", "12", "--sigma", "1/2", "--alpha", "0",
+            "--trials", "1", "--seed", "5", "--summary", str(summ),
+        )
+        text = summ.read_text()
+        assert code == 0 and stdout == text
+        assert '"collision_entropy": 0.0,' in text and '"min_entropy": 0.0,' in text
+        assert "-0.0" not in text
+
     def test_exponents_beyond_file_format(self, capsys):
         # n = 256 needs a keyed table whose n_exp no file can hold; its
         # digest comes from the wide header

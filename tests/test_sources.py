@@ -1,8 +1,6 @@
 import importlib.util
 import json
-import sys
-import threading
-import zlib
+import math
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -18,7 +16,6 @@ from balext import sources
 from balext.sources import (
     THETA_INDEP,
     THETA_SYM,
-    ExternalCompressorEstimator,
     MatchCompressor,
     PlantedPairSpec,
     collision_entropy_empirical,
@@ -289,53 +286,6 @@ class TestMatchCompressor:
             assert gap <= THETA_SYM
 
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 2**40 - 1), st.integers(0, 48)),
-                    min_size=1, max_size=12))
-    def test_warm_memo_matches_fresh_parse(self, pairs):
-        # equal values at different lengths differ by leading zeros, so the
-        # memo must key on the length too
-        warm = MatchCompressor()
-        strings = [BitString(v % (1 << n), n) for v, n in pairs]
-        strings += [BitString(s.value, s.length + 3) for s in strings]
-        for s in strings + strings:
-            assert warm.estimate(s) == MatchCompressor().cost_bits(s)
-
-    def test_memo_stays_within_bound(self, monkeypatch):
-        monkeypatch.setattr(sources, "_MEMO_MAX", 8)
-        est = MatchCompressor()
-        for v in range(40):
-            s = BitString(v, 8)
-            assert est.estimate(s) == est.cost_bits(s)
-            assert len(est._memo) <= 8
-
-
-    def test_shared_memo_under_thread_switching(self, monkeypatch):
-        monkeypatch.setattr(sources, "_MEMO_MAX", 8)
-        est = MatchCompressor()
-        strings = [BitString(v, 10) for v in range(0, 1024, 7)]
-        expected = {s: est.cost_bits(s) for s in strings}
-        problems = []
-
-        def work(offset):
-            for s in strings[offset:] + strings[:offset]:
-                if est.estimate(s) != expected[s] or len(est._memo) > 8:
-                    problems.append(s)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=work, args=(k * 13,)) for k in range(6)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(w.is_alive() for w in workers)
-        assert problems == []
-
-
 def test_calibration_reproduces_committed_thresholds(tmp_path, capsys):
     # the campaign's defaults (1000 seeds at n = 1024) must give back the
     # committed JSON byte for byte
@@ -350,17 +300,15 @@ def test_calibration_reproduces_committed_thresholds(tmp_path, capsys):
     assert out.read_bytes() == (root / "calibration" / "thresholds.json").read_bytes()
 
 
-class TestExternalAdapter:
-    def test_zlib_adapter(self):
-        est = ExternalCompressorEstimator(zlib.compress)
-        s = BitString.zeros(4096)
-        r = random_bitstring(1, 4096)
-        assert est.estimate(s) < est.estimate(r)
-
-
 class TestEntropyMetrics:
     def test_all_identical_is_zero(self):
         assert min_entropy_empirical([BitString(3, 4)] * 10) == 0.0
+
+    def test_all_identical_is_positive_zero(self):
+        # -log2(1.0) is -0.0, which JSON reports would print as "-0.0"
+        for metric in (min_entropy_empirical, collision_entropy_empirical):
+            for samples in ([BitString(3, 4)] * 10, [7], Counter({5: 3})):
+                assert math.copysign(1.0, metric(samples)) == 1.0
 
     def test_uniform_singletons(self):
         samples = [BitString(v, 6) for v in range(64)]
@@ -383,8 +331,6 @@ class TestEntropyMetrics:
         samples = Counter(values)
         me = min_entropy_empirical(samples)
         ce = collision_entropy_empirical(samples)
-        import math
-
         assert 0 <= me <= math.log2(len(values)) + 1e-9
         assert me <= ce + 1e-9  # min-entropy lower-bounds collision entropy
         if len(set(values)) == len(values):
@@ -445,8 +391,28 @@ class TestBatchedTrials:
             for sigma in (F(1, 2), F(1)):
                 for alpha in (F(0), sigma):
                     spec = PlantedPairSpec(n, sigma, alpha, seed=-5)
-                    args = (spec, table, 7, MatchCompressor(), 9, 150)
+                    args = (spec, table, 150)
                     assert sources._experiment_chunk(*args) == experiment_chunk_oracle(*args)
+
+    @pytest.mark.parametrize("n, kind", [(12, "random"), (12, "keyed"), (65, "keyed")])
+    def test_each_distinct_pair_estimated_once(self, monkeypatch, n, kind):
+        # 4 random bits per input: at most 2^8 distinct pairs in 300 trials
+        calls = []
+        estimate = MatchCompressor.estimate
+
+        def counted(self, s):
+            calls.append(s)
+            return estimate(self, s)
+
+        monkeypatch.setattr(MatchCompressor, "estimate", counted)
+        for shared in (0, 2, 4):
+            spec = PlantedPairSpec(n, F(4, n), F(shared, n), seed=7)
+            calls.clear()
+            rep = run_extraction_experiment(spec, 300, TablePolicy(kind=kind, seed=1))
+            pairs = {(x.value, y.value) for x, y in (
+                gen_planted_pair(spec, seed=r.seed) for r in rep.rows)}
+            assert len(pairs) <= 1 << (8 - shared)
+            assert len(calls) == 3 * len(pairs), shared
 
     @pytest.mark.parametrize("chunks", [1])
     @pytest.mark.parametrize("kind", ["auto", "keyed"])
@@ -460,12 +426,12 @@ class TestBatchedTrials:
             runs = []
 
             def counted(*args):
-                runs.append(args[-2:])
+                runs.append(args[-1])
                 return chunk(*args)
 
             monkeypatch.setattr(sources, "_experiment_chunk", counted)
             rep = run_extraction_experiment(spec, trials, TablePolicy(kind=kind, seed=5))
-            assert len(runs) == chunks and sum(count for _, count in runs) == trials
+            assert len(runs) == chunks and sum(runs) == trials
             rep.write_csv(tmp_path / "rows.csv")
             return (tmp_path / "rows.csv").read_bytes(), rep.to_json()
 

@@ -23,7 +23,6 @@ from balext.tables import (
     BACKEND_RANDOM,
     BalancedTable,
     canonical_table,
-    existence_condition,
     existence_condition_exponents,
     key_from_seed,
     keyed_color,
@@ -59,7 +58,8 @@ class TestExistenceCondition:
             assert c.holds  # every power of two >= 9 satisfies N^2 > 6N + 3
 
     def test_accepts_table_params(self):
-        c = existence_condition(TableParams(10, 4, 8, 1))
+        p = TableParams(10, 4, 8, 1)
+        c = existence_condition_exponents(p.n_exp, p.m_exp, p.s_exp, p.d_exp)
         assert c.holds and c.lhs == 65536
 
     def test_comparison_provably_decided(self):
