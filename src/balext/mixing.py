@@ -14,6 +14,11 @@ Stream splitting: the k-th output of a stream (``stream_value``) may itself
 be used as the state of a child stream (``substream``).  Consumers document
 which tags they reserve, so no two consumers ever draw from the same stream.
 
+No other module does stream-index arithmetic: in numpy they draw through
+``stream_values_np``, ``stream_value`` broadcast over states and indices,
+or add ``stream_steps``, the (k + 1) * GAMMA of output k, to their states
+before an in-place :func:`scramble_inplace`.
+
 Bounded draws are a multiply-high, as in Lemire, *Fast random integer
 generation in an interval* (arXiv:1805.10941): the draw ``bounded(u, n)``
 of a 64-bit u in [0, n) is ``(u * n) >> 64`` for 2**32 <= n <= 2**64, and
@@ -80,10 +85,10 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 
 
-def scramble_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _NP_MUL1
-    z = (z ^ (z >> np.uint64(27))) * _NP_MUL2
-    return z ^ (z >> np.uint64(31))
+def scramble_np(z) -> np.ndarray:
+    """:func:`scramble` of each entry of ``z``, as a new uint64 array."""
+    z = np.array(z, dtype=np.uint64)
+    return scramble_inplace(z, np.empty_like(z))
 
 
 def scramble_inplace(
@@ -103,10 +108,26 @@ def scramble_inplace(
     return np.bitwise_xor(z, tmp, out=out, casting="unsafe")
 
 
+def stream_steps(ks) -> np.ndarray:
+    """(k + 1) * GAMMA mod 2**64 for each index k in [0, 2**64) of ``ks``:
+    what output k of a stream adds to its state before the scramble.  A
+    Python int gives a uint64 scalar, computed without numpy's slower
+    scalar arithmetic."""
+    if isinstance(ks, int):
+        return np.uint64((ks + 1) * GAMMA & MASK64)
+    return np.multiply(np.asarray(ks, np.uint64) + 1, _NP_GAMMA)
+
+
+def stream_values_np(states, ks) -> np.ndarray:
+    """:func:`stream_value` of ``states`` and ``ks`` in [0, 2**64),
+    broadcast together, as a new uint64 array (0-d for two scalars)."""
+    return scramble_np(np.add(np.asarray(states, np.uint64), stream_steps(ks)))
+
+
 def stream_block_np(state: int, start: int, count: int) -> np.ndarray:
     """Outputs ``start .. start+count-1`` of a stream as a uint64 array."""
-    ks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return scramble_np(np.uint64(state & MASK64) + ks * _NP_GAMMA)
+    ks = np.arange(start, start + count, dtype=np.uint64)
+    return stream_values_np(state & MASK64, ks)
 
 
 def _positions(u: np.ndarray, n: int) -> np.ndarray:
@@ -145,8 +166,7 @@ def partial_shuffle_batch(states: np.ndarray, n: int, take: int) -> np.ndarray:
         raise TooLarge(f"shuffle draws need n <= 2**64, got a {n.bit_length()}-bit n")
     b = states.shape[0]
     ks = np.arange(take, dtype=np.uint64)
-    drawn = (ks + np.uint64(1)) * _NP_GAMMA + states.astype(np.uint64)[:, None]
-    scramble_inplace(drawn, np.empty_like(drawn))
+    drawn = stream_values_np(states[:, None], ks)
     drawn = _positions(drawn, n)                        # (b, take), j_k in [k, n)
     # slot of each j_k: its rank among the stream's distinct draws, past take
     rows = np.arange(b)[:, None]

@@ -39,7 +39,7 @@ from .core import (
     round_half_up,
 )
 from .extract import TablePolicy, table_for
-from .mixing import GAMMA, MASK64, scramble_np, stream_bits, stream_block_np, substream
+from .mixing import stream_bits, stream_block_np, stream_values_np, substream
 
 # Fixed by the calibration campaign committed under calibration/ (n = 1024,
 # 1000 seeds): max |dep| observed on independent pairs was 48 bits and the
@@ -109,8 +109,7 @@ def _planted_pairs_np(
         # stream_bits(substream(seed, tag), count), count <= 64
         if count == 0:
             return np.zeros_like(seeds)
-        state = scramble_np(seeds + np.uint64((tag + 1) * GAMMA & MASK64))
-        return scramble_np(state + np.uint64(GAMMA)) >> np.uint64(64 - count)
+        return stream_values_np(stream_values_np(seeds, tag), 0) >> np.uint64(64 - count)
 
     n_free = n_random - n_shared
     shared = bits(3, n_shared)
@@ -499,26 +498,22 @@ def _experiment_chunk(spec, table, trials):
     n = spec.n
     n_shared, n_random = _bit_counts(n, spec.sigma, spec.alpha)
     seeds = stream_block_np(spec.seed, 0, trials)
-    zs = None
     if n <= _BATCH_MAX_BITS:
         xs, ys = _planted_pairs_np(n, n_shared, n_random, seeds)
-        if table.is_explicit:
-            zs = table.lookup_pairs(xs, ys).tolist()
         pairs = list(zip(xs.tolist(), ys.tolist()))
     else:
         pairs = []
         for t_seed in seeds.tolist():
             x, y = gen_planted_pair(spec, seed=t_seed)
             pairs.append((x.value, y.value))
-    # every distinct pair is estimated once (and looked up once in a keyed
-    # table), in order of first appearance
+    # every distinct pair is estimated and looked up once, in order of
+    # first appearance
     dep_of = dict.fromkeys(pairs)
     est = MatchCompressor()
     for x, y in dep_of:
         dep_of[x, y] = dep_estimate(BitString(x, n), BitString(y, n), est)
-    if zs is None:
-        color_of = {p: table.lookup(*p) for p in dep_of}
-        zs = [color_of[p] for p in pairs]
+    color_of = {p: table.lookup(*p) for p in dep_of}
+    zs = [color_of[p] for p in pairs]
     fmt = f"0{(table.params.m_exp + 3) // 4}x"
     rows = list(map(TrialRow, range(trials), seeds.tolist(),
                     itertools.repeat(n_shared), [dep_of[p] for p in pairs],
@@ -537,11 +532,10 @@ def run_extraction_experiment(
     table comes from the policy once and is shared across trials.
 
     All trials run in one thread, as one run.  Up to n = 64 bits the run
-    is batched: its seeds, pairs and explicit-table cells (stored, or from
-    a random table's formula) come from numpy uint64 arrays.  Longer
+    is batched: its seeds and pairs come from numpy uint64 arrays.  Longer
     inputs run one trial at a time through :func:`gen_planted_pair`.
-    Either way each distinct (x, y) is estimated once, and looked up once
-    in a keyed table.
+    Either way each distinct (x, y) is estimated once and looked up once,
+    with :meth:`BalancedTable.lookup` for every backend.
     """
     if trials < 1:
         raise InvalidParams("need trials >= 1")

@@ -8,9 +8,10 @@ Three backends produce a table T : [N] x [N] -> [M]:
   across platforms and runs.  The rule for every random table: held at
   <= 2^20 cells, formula beyond.  A held table's cells are the formula's
   grid over every row and column, filled on the calling thread.  A
-  formula stores no cells: its lookups, pairwise lookups and rectangle
-  grids compute cells from (seed, row, col), and its digest, file and
-  bytes stream from one fill loop, in row stripes of at most
+  formula stores no cells: its lookups and rectangle grids compute cells
+  from (seed, row, col) with the stream helpers of :mod:`balext.mixing`,
+  which does all of the stream arithmetic, and its digest, file and bytes
+  stream from one fill loop, in row stripes of at most
   ``_FILL_CHUNK`` cells: worker k of W (one per usable CPU, up to 2)
   fills stripes k, k + W, ... and hands each to the sink in turn, so the
   sink sees the rows in order whatever W is, and no full cell array is
@@ -64,7 +65,14 @@ from fractions import Fraction
 import numpy as np
 
 from .core import InvalidParams, NotFound, OutOfRange, TableParams, TooLarge
-from .mixing import GAMMA, MASK64, scramble, scramble_inplace, scramble_np, stream_value
+from .mixing import (
+    MASK64,
+    scramble,
+    scramble_inplace,
+    stream_steps,
+    stream_value,
+    stream_values_np,
+)
 
 MAGIC = b"BTAB"
 WIDE_MAGIC = b"BTBW"         # digest-only header for exponents beyond 255
@@ -174,10 +182,6 @@ def existence_condition_exponents(
 # ---------------------------------------------------------------------------
 
 
-def _absorb(h: int, word: int) -> int:
-    return scramble(((h ^ word) + GAMMA) & MASK64)
-
-
 def _words(value: int, count: int) -> tuple[int, ...]:
     """The ``count`` little-endian 64-bit words of a value below 2^(64 count)."""
     return struct.unpack(f"<{count}Q", value.to_bytes(8 * count, "little"))
@@ -189,7 +193,7 @@ def keyed_color(key: int, n_exp: int, m_exp: int, row: int, col: int) -> int:
     The 128-bit key splits into k0 (low) and k1 (high 64 bits).  A 64-bit
     state absorbs, in order: k0, n_exp, m_exp, the row's little-endian
     64-bit words (ceil(n_exp/64) of them), k1, then the column's words;
-    each absorption is ``scramble((h ^ word) + GAMMA)``.  The color is the
+    each absorption is ``stream_value(h ^ word, 0)``.  The color is the
     low m_exp bits of the state's output stream (64-bit outputs
     ``stream_value(h, t)`` concatenated low-word-first).
 
@@ -199,17 +203,16 @@ def keyed_color(key: int, n_exp: int, m_exp: int, row: int, col: int) -> int:
     words = (n_exp + 63) // 64
     h = _keyed_state_through_key(key, n_exp, m_exp)
     for word in _words(row, words) + (key >> 64,) + _words(col, words):
-        h = _absorb(h, word)
+        h = stream_value(h ^ word, 0)
     out_words = (m_exp + 63) // 64
     color = struct.pack(f"<{out_words}Q", *(stream_value(h, t) for t in range(out_words)))
     return int.from_bytes(color, "little") & ((1 << m_exp) - 1)
 
 
 def _keyed_state_through_key(key: int, n_exp: int, m_exp: int) -> int:
-    h = _absorb(0, key & MASK64)
-    h = _absorb(h, n_exp)
-    h = _absorb(h, m_exp)
-    return h
+    h = stream_value(key & MASK64, 0)
+    h = stream_value(h ^ n_exp, 0)
+    return stream_value(h ^ m_exp, 0)
 
 
 def keyed_colors_grid(
@@ -219,18 +222,18 @@ def keyed_colors_grid(
 
     Only for n_exp <= 64 and m_exp <= 64 (single-word absorb and output).
     The grid's two scrambles run in place in the result, with one
-    temporary of its size.
+    temporary of its size, each adding output 0's scalar step.
     """
     if n_exp > 64 or m_exp > 64:
         raise TooLarge("vectorized keyed lookup needs n_exp, m_exp <= 64")
-    g = np.uint64(GAMMA)
     h0 = np.uint64(_keyed_state_through_key(key, n_exp, m_exp))
-    hr = scramble_np((h0 ^ rows.astype(np.uint64)) + g)
-    hr = scramble_np((hr ^ np.uint64(key >> 64)) + g)
+    hr = stream_values_np(h0 ^ rows.astype(np.uint64), 0)
+    hr = stream_values_np(hr ^ np.uint64(key >> 64), 0)
     grid = np.bitwise_xor(hr[:, None], cols.astype(np.uint64))
     tmp = np.empty_like(grid)
+    step = stream_steps(0)
     for _ in range(2):         # absorb the column, then stream_value(h, 0)
-        grid += g
+        grid += step
         scramble_inplace(grid, tmp)
     if m_exp < 64:
         grid &= np.uint64((1 << m_exp) - 1)
@@ -283,14 +286,6 @@ class BalancedTable:
             return stream_value(stream_value(self.seed_or_key, row), col) & (p.m_colors - 1)
         return keyed_color(self.seed_or_key, p.n_exp, p.m_exp, row, col)
 
-    def lookup_pairs(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Cells (rows[i], cols[i]) of an explicit table, in its cell
-        dtype, for in-range index arrays of one length."""
-        if self.cells is not None:
-            return self.cells[rows.astype(np.intp), cols.astype(np.intp)]
-        colors = scramble_np(_row_states(self.seed_or_key, rows) + _col_steps(cols))
-        return (colors & np.uint64(self.params.m_colors - 1)).astype(cell_dtype(self.params.m_exp))
-
     def grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Cells rows x cols of an explicit table, in its cell dtype:
         gathered by two ``take`` calls, or filled block by block from the
@@ -299,7 +294,7 @@ class BalancedTable:
             return self.cells.take(rows, axis=0).take(cols, axis=1)
         out = np.empty((len(rows), len(cols)), dtype=cell_dtype(self.params.m_exp))
         step = min(len(rows), max(1, _FILL_CHUNK // max(1, len(cols))))
-        _fill_rows(_row_states(self.seed_or_key, rows), _col_steps(cols), out,
+        _fill_rows(stream_values_np(self.seed_or_key, rows), stream_steps(cols), out,
                    np.empty((2, step, len(cols)), dtype=np.uint64),
                    _narrow_mask(self.params.m_exp))
         return out
@@ -425,17 +420,6 @@ def _checked(params: TableParams, backend: int, seed_or_key: int, cells) -> Bala
 # ---------------------------------------------------------------------------
 
 
-def _col_steps(cols: np.ndarray) -> np.ndarray:
-    """What output c of a stream adds to its state before the scramble:
-    (c + 1) GAMMA.  Column c of a row is output c of the row's stream."""
-    return (cols.astype(np.uint64) + np.uint64(1)) * np.uint64(GAMMA)
-
-
-def _row_states(seed: int, rows: np.ndarray) -> np.ndarray:
-    """Each row's stream state: row r's is output r of the master stream."""
-    return scramble_np(np.uint64(seed) + _col_steps(rows))
-
-
 def _narrow_mask(m_exp: int):
     """The color mask in the cell dtype, or None when the cells are no wider."""
     dtype = cell_dtype(m_exp)
@@ -446,7 +430,10 @@ def _fill_rows(row_states: np.ndarray, col_steps: np.ndarray, out: np.ndarray,
                scratch: np.ndarray, mask) -> None:
     """out[i, j] = scramble(row_states[i] + col_steps[j]), cut to out's
     dtype and masked, in blocks of rows that fit the (2, rows, columns)
-    uint64 ``scratch``.
+    uint64 ``scratch``.  Row r's state is output r of the table's seed
+    (:func:`stream_values_np`), and column c's step is what output c adds
+    to it (:func:`stream_steps`), so cell (r, c) is output c of row r's
+    stream.
 
     The fill runs in place: each block's SplitMix steps reuse the two
     scratch buffers, and the last xor writes straight into ``out``,
@@ -482,8 +469,8 @@ def _fill_stripes(seed: int, n_exp: int, m_exp: int, sink) -> None:
     rows = min(n_side, max(1, _FILL_CHUNK // n_side))
     stripes = range(0, n_side, rows)
     workers = _FILL_WORKERS
-    row_states = _row_states(seed, np.arange(n_side, dtype=np.uint64))
-    col_steps = _col_steps(np.arange(n_side, dtype=np.uint64))
+    row_states = stream_values_np(seed, np.arange(n_side, dtype=np.uint64))
+    col_steps = stream_steps(np.arange(n_side, dtype=np.uint64))
     mask = _narrow_mask(m_exp)
     buffers = [(np.empty((2, rows, n_side), dtype=np.uint64),
                 np.empty((rows, n_side), dtype=cell_dtype(m_exp)))

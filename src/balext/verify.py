@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import InvalidParams, TableParams, TooLarge
-from .mixing import GAMMA, MASK64, partial_shuffle_batch, scramble_np
+from .mixing import partial_shuffle_batch, stream_block_np
 from .tables import EXPLICIT_N_EXP_CAP, BalancedTable, keyed_colors_grid
 
 ENUM_CAP = 10**8             # most rectangles an exhaustive check enumerates
@@ -282,9 +282,7 @@ class _Enumeration(NamedTuple):
     """What enumerating the rows x cols rectangles of an N x N table with M
     colors needs besides its cells."""
 
-    row_sets: tuple                 # S-subsets as tuples, lexicographic
-    col_sets: tuple
-    row_index: np.ndarray           # the same as (count, side) index arrays
+    row_index: np.ndarray           # S-subsets, lexicographic, as (count, side)
     col_index: np.ndarray
     labels: np.ndarray              # np.arange(M)
     n_rows: int                     # row and column subsets per chunk
@@ -307,13 +305,11 @@ def _enumeration(n_side: int, rows: int, cols: int, m_colors: int) -> _Enumerati
     rows-major order.  Either way a chunk's gathered cells and count array
     hold at most _CHUNK entries, unless one rectangle's do.
     """
-    row_sets = tuple(combinations(range(n_side), rows))
-    col_sets = tuple(combinations(range(n_side), cols))
-    width = len(col_sets)
+    height, width = math.comb(n_side, rows), math.comb(n_side, cols)
     by_row = n_side * width * max(cols, m_colors) <= _CHUNK
     if by_row:
         n_cols = width
-        n_rows = min(len(row_sets), max(1, _CHUNK // (m_colors * width)))
+        n_rows = min(height, max(1, _CHUNK // (m_colors * width)))
         # (row r, subset c) of a color's per-row histograms
         slots = (np.arange(n_side)[:, None] * width + np.arange(width))[:, :, None]
     else:
@@ -321,21 +317,20 @@ def _enumeration(n_side: int, rows: int, cols: int, m_colors: int) -> _Enumerati
         n_cols = min(width, max(1, _CHUNK // per_rect))
         n_rows = 1
         if n_cols == width:
-            n_rows = min(len(row_sets), max(1, _CHUNK // (n_cols * per_rect)))
+            n_rows = min(height, max(1, _CHUNK // (n_cols * per_rect)))
         # the count row of each rectangle in a chunk
         slots = (np.arange(n_rows)[:, None, None, None] * n_cols
                  + np.arange(n_cols)[:, None]) * m_colors
     arrays = (
-        np.array(row_sets, dtype=np.intp).reshape(len(row_sets), rows),
-        np.array(col_sets, dtype=np.intp).reshape(width, cols),
+        np.array(list(combinations(range(n_side), rows)), np.intp).reshape(height, rows),
+        np.array(list(combinations(range(n_side), cols)), np.intp).reshape(width, cols),
         np.arange(m_colors),
         slots,
     )
     for a in arrays:
         a.setflags(write=False)
     row_index, col_index, labels, slots = arrays
-    return _Enumeration(row_sets, col_sets, row_index, col_index, labels,
-                        n_rows, n_cols, by_row, slots)
+    return _Enumeration(row_index, col_index, labels, n_rows, n_cols, by_row, slots)
 
 
 def _exhaustive(table: BalancedTable, rule: _Rule):
@@ -363,25 +358,26 @@ def _exhaustive(table: BalancedTable, rule: _Rule):
     def chunk_rect(r0, c0, width):
         def rect(i):
             r, c = divmod(i, width)
-            return Rectangle(e.row_sets[r0 + r], e.col_sets[c0 + c])
+            return Rectangle(tuple(e.row_index[r0 + r].tolist()),
+                             tuple(e.col_index[c0 + c].tolist()))
         return rect
 
     if e.by_row:
-        width = len(e.col_sets)
+        width = len(e.col_index)
         cells = cells.take(e.col_index, axis=1)                 # (N, w, cols)
         slots = cells * np.intp(n_side * width) + e.slots
         hist = np.bincount(slots.ravel(), minlength=m_colors * n_side * width)
         hist = hist.reshape(m_colors, n_side, width)
-        for r0 in range(0, len(e.row_sets), e.n_rows):
+        for r0 in range(0, len(e.row_index), e.n_rows):
             rows = e.row_index[r0:r0 + e.n_rows]
             counts = hist.take(rows[:, 0], axis=1)              # (M, k, w)
             for j in range(1, rule.rows):
                 counts += hist.take(rows[:, j], axis=1)
             yield chunk_rect(r0, 0, width), counts.reshape(m_colors, -1), e.labels
         return
-    for r0 in range(0, len(e.row_sets), e.n_rows):
+    for r0 in range(0, len(e.row_index), e.n_rows):
         block = cells.take(e.row_index[r0:r0 + e.n_rows], axis=0)  # (k, rows, N)
-        for c0 in range(0, len(e.col_sets), e.n_cols):
+        for c0 in range(0, len(e.col_index), e.n_cols):
             chunk = e.col_index[c0:c0 + e.n_cols]
             grid = block.take(chunk, axis=2)                    # (k, rows, w, cols)
             slots = grid + e.slots[:len(block), :, :len(chunk)]
@@ -431,20 +427,6 @@ def check_rectangle_sides(
 # ---------------------------------------------------------------------------
 
 
-def _sample_rect_indices(seed: int, start: int, count: int, n_side: int, s_side: int):
-    """Row/col index arrays for samples start..start+count-1 (batched FY)."""
-    j = np.arange(start, start + count, dtype=np.uint64)
-    row_states = scramble_np(
-        np.uint64(seed & MASK64) + (2 * j + 1) * np.uint64(GAMMA)
-    )
-    col_states = scramble_np(
-        np.uint64(seed & MASK64) + (2 * j + 2) * np.uint64(GAMMA)
-    )
-    rows = partial_shuffle_batch(row_states, n_side, s_side)
-    cols = partial_shuffle_batch(col_states, n_side, s_side)
-    return rows, cols
-
-
 def _rect_colors(table: BalancedTable, rows: np.ndarray, cols: np.ndarray):
     """The rectangle's cells: explicit ones from :meth:`BalancedTable.grid`,
     keyed ones below 2^63 as an intp view that ``bincount`` counts as is."""
@@ -462,10 +444,12 @@ def _rect_colors(table: BalancedTable, rows: np.ndarray, cols: np.ndarray):
 def _sampled(table: BalancedTable, rule: _Rule, seed: int, start: int, count: int,
              ranked: bool):
     """Yield (rectangle of column, count array, labels) chunks for samples
-    start..start+count-1.  Samples are drawn in batches whose row and
-    column draws hold at most _CHUNK entries each, and counted in chunks
-    sized by their count array, one rectangle per row, yielded transposed
-    to color-major."""
+    start..start+count-1.  Sample j's rows and columns are partial
+    Fisher-Yates draws seeded by outputs 2j and 2j + 1 of the seed's
+    stream.  Samples are drawn in batches whose row and column draws hold
+    at most _CHUNK entries each, and counted in chunks sized by their
+    count array, one rectangle per row, yielded transposed to
+    color-major."""
     p = table.params
     if ranked:    # k rectangles hold at most k * area distinct colors
         step = max(1, math.isqrt(_CHUNK // rule.area))
@@ -476,8 +460,9 @@ def _sampled(table: BalancedTable, rule: _Rule, seed: int, start: int, count: in
 
     def chunks():
         for d0 in range(0, count, draw):
-            batch = list(zip(*_sample_rect_indices(
-                seed, start + d0, min(draw, count - d0), p.n_side, rule.rows)))
+            states = stream_block_np(seed, 2 * (start + d0), 2 * min(draw, count - d0))
+            batch = list(zip(partial_shuffle_batch(states[0::2], p.n_side, rule.rows),
+                             partial_shuffle_batch(states[1::2], p.n_side, rule.rows)))
             for b0 in range(0, len(batch), step):
                 yield batch[b0:b0 + step]
 

@@ -12,7 +12,10 @@ from balext.mixing import (
     scramble_inplace,
     scramble_np,
     stream_bits,
+    stream_block_np,
+    stream_steps,
     stream_value,
+    stream_values_np,
     substream,
 )
 
@@ -56,7 +59,50 @@ def test_scramble_inplace_matches():
     assert np.array_equal(z, want)
 
 
-@given(st.integers(min_value=0, max_value=MASK64), st.integers(min_value=1, max_value=1 << 64))
+U64 = st.integers(min_value=0, max_value=MASK64)
+
+
+@given(st.lists(U64, max_size=6), st.lists(U64, max_size=6))
+def test_stream_values_np_matches_scalar(states, ks):
+    # both ends of the range are always drawn; numpy flags uint64 wraparound
+    # only on scalar paths, and the suite makes such a warning an error
+    states, ks = states + [0, MASK64], [MASK64] + ks + [0]
+    sv, kv = np.array(states, dtype=np.uint64), np.array(ks, dtype=np.uint64)
+    want = [[stream_value(s, k) for k in ks] for s in states]
+    got = stream_values_np(sv[:, None], kv)                     # column x row
+    assert got.dtype == np.uint64 and got.tolist() == want
+    for i, s in enumerate(states):                              # scalar x vector
+        assert stream_values_np(s, kv).tolist() == want[i]
+        assert stream_values_np(np.uint64(s), kv).tolist() == want[i]
+    for j, k in enumerate(ks):                                  # vector x scalar
+        assert stream_values_np(sv, k).tolist() == [row[j] for row in want]
+    for i, s in enumerate(states):                              # 0-d
+        for j, k in enumerate(ks):
+            for a, b in ((s, k), (np.uint64(s), np.uint64(k)),
+                         (np.array(s, dtype=np.uint64), np.array(k, dtype=np.uint64))):
+                one = stream_values_np(a, b)
+                assert one.shape == () and int(one) == want[i][j]
+        # the last outputs before index 2**64, whose step wraps to 0
+        assert stream_block_np(s, MASK64 - 2, 3).tolist() == [
+            stream_value(s, k) for k in range(MASK64 - 2, MASK64 + 1)]
+        assert stream_block_np(s, 0, 3).tolist() == [stream_value(s, k) for k in range(3)]
+
+
+@given(U64)
+def test_stream_steps_are_output_offsets(k):
+    step = stream_steps(k)
+    assert isinstance(step, np.uint64) and int(step) == (k + 1) * GAMMA & MASK64
+    assert stream_steps(np.array([k, 0], dtype=np.uint64)).tolist() == [int(step), GAMMA]
+    assert int(scramble_np(np.add(np.uint64(12345), step))) == stream_value(12345, k)
+
+
+@pytest.mark.parametrize("state", [-5, (1 << 64) + 3])
+def test_stream_block_np_takes_the_state_mod_2_64(state):
+    want = [stream_value(state, k) for k in range(7, 11)]
+    assert stream_block_np(state, 7, 4).tolist() == want
+
+
+@given(U64, st.integers(min_value=1, max_value=1 << 64))
 def test_bounded_in_range(u, n):
     assert 0 <= bounded(u, n) < n
 

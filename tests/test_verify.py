@@ -224,12 +224,12 @@ class TestExhaustive:
             for rows, cols in sides:
                 e, n = chunks(rows, cols)
                 assert not e.by_row
-                assert n == len(e.row_sets) * len(e.col_sets)
+                assert n == len(e.row_index) * len(e.col_index)
             monkeypatch.setattr(verify, "_CHUNK", 2240)
             assert reports() == want
             e, n = chunks(4, 4)
-            assert e.by_row and 4 * 8 * len(e.col_sets) == 2240
-            assert n == 9 and e.n_rows * n >= len(e.row_sets) > e.n_rows * (n - 1)
+            assert e.by_row and 4 * 8 * len(e.col_index) == 2240
+            assert n == 9 and e.n_rows * n >= len(e.row_index) > e.n_rows * (n - 1)
         finally:
             verify._enumeration.cache_clear()
 
