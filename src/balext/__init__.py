@@ -23,8 +23,6 @@ from .seqtransform import (
     CountingBitStream,
     SeededBitStream,
     SequenceTransformer,
-    output_bit,
-    transform_prefix,
 )
 from .sources import (
     ExperimentReport,

@@ -85,6 +85,8 @@ def _cmd_gen_table(args) -> int:
 
 
 def _cmd_verify_table(args) -> int:
+    if args.prefix_balance and args.d_exp is not None:
+        raise InvalidParams("--d-exp does not apply to --prefix-balance (D = M)")
     try:
         table = BalancedTable.read(args.table)
     except OSError as e:
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-exp", type=int, default=None,
                    help="override the table's stored s_exp")
     p.add_argument("--d-exp", type=int, default=None,
-                   help="override the table's stored d_exp")
+                   help="override the table's stored d_exp; not with --prefix-balance")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads; applies to sampled mode only")

@@ -10,12 +10,11 @@ reads, which output bits it emits, and which block holds an output bit.
 A transformer never touches a block past the last one its output needs,
 so one long schedule serves every output length.
 
-Computing any output bit reads both input streams from position 0 through
-the end of the containing block and nothing else; the read set depends only
-on the schedule and the position, never on stream contents (the transform
-is a truth-table reduction).  Streams are read in one bulk call,
-``prefix(count)``, which returns bits 0..count-1 and counts as reading each
-of those positions once.
+Streams are read by prefix only: ``prefix(count)``, bits 0..count-1, is
+the whole stream protocol.  Computing any output bit reads both input
+streams from position 0 through the end of the containing block and
+nothing else; the read set depends only on the schedule and the position,
+never on stream contents (the transform is a truth-table reduction).
 
 Per-block tables are reproducible: block i's seed is output i of the
 master seed's stream.  Every block table comes from ``extract.table_for``
@@ -27,7 +26,6 @@ larger blocks get keyed tables.
 from __future__ import annotations
 
 import weakref
-from dataclasses import replace
 from typing import Protocol
 
 from .core import BitString, InvalidParams, OutOfRange, SeqSchedule
@@ -42,16 +40,12 @@ _checked_tables: weakref.WeakSet[BalancedTable] = weakref.WeakSet()
 
 
 class BitStream(Protocol):
-    """A repeatable, position-addressable source of bits.
+    """A repeatable source of bits, read by prefix only.
 
-    ``bit(pos)`` reads one position.  ``prefix(count)`` returns bits
-    0..count-1 as one BitString, the bits that ``bit(0)`` .. ``bit(count-1)``
-    return, and raises OutOfRange where one of those calls would or when
-    count is negative.  The transformer reads streams only through
-    ``prefix``, so every stream must implement it, in time linear in count.
+    ``prefix(count)`` returns bits 0..count-1 as one BitString, the same
+    bits on every call, in time linear in count.  It raises OutOfRange
+    when count is negative or runs past the end of a finite stream.
     """
-
-    def bit(self, pos: int) -> int: ...
 
     def prefix(self, count: int) -> BitString: ...
 
@@ -62,12 +56,6 @@ class SeededBitStream:
 
     def __init__(self, seed: int):
         self.seed = seed
-
-    def bit(self, pos: int) -> int:
-        if pos < 0:
-            raise OutOfRange("negative stream position")
-        word = stream_value(self.seed, pos // 64)
-        return (word >> (63 - pos % 64)) & 1
 
     def prefix(self, count: int) -> BitString:
         if count < 0:
@@ -81,29 +69,25 @@ class BitStringStream:
     def __init__(self, bits: BitString):
         self.bits = bits
 
-    def bit(self, pos: int) -> int:
-        return self.bits.bit(pos)
-
     def prefix(self, count: int) -> BitString:
         return self.bits.prefix(count)
 
 
 class CountingBitStream:
-    """Instrumented wrapper recording every position read."""
+    """Instrumented wrapper: ``reads`` sums the prefix lengths served, and
+    ``positions`` is ``range(longest prefix served)``, the exact set of
+    positions read, since a stream is read by prefix only.  A refused read
+    records nothing."""
 
     def __init__(self, inner: BitStream):
         self.inner = inner
-        self.positions: set[int] = set()
+        self.positions = range(0)
         self.reads = 0
-
-    def bit(self, pos: int) -> int:
-        self.positions.add(pos)
-        self.reads += 1
-        return self.inner.bit(pos)
 
     def prefix(self, count: int) -> BitString:
         bits = self.inner.prefix(count)
-        self.positions.update(range(count))
+        if count > self.positions.stop:     # not len(): it overflows past sys.maxsize
+            self.positions = range(count)
         self.reads += count
         return bits
 
@@ -121,10 +105,12 @@ def block_seed(master_seed: int, i: int) -> int:
 def block_table(
     schedule: SeqSchedule, i: int, policy: TablePolicy = TablePolicy()
 ) -> BalancedTable:
-    """Block i's table, from :func:`table_for` under the policy with block
-    i's seed, so the process-wide table cache serves every transformer and
-    every block.  A block that fits the explicit cap gets an explicit
-    random table, a larger one a keyed table.
+    """Block i's table, from :func:`table_for` under an "auto" policy with
+    block i's seed, so the process-wide table cache serves every
+    transformer and every block.  A block that fits the explicit cap gets
+    an explicit random table, a larger one a keyed table.  Only the
+    policy's seed is read: any other kind, or a key, is refused with
+    :class:`InvalidParams`.
 
     An explicit table, held or a formula (the rule is in the
     :mod:`balext.tables` docstring), is checked once per table object,
@@ -133,9 +119,11 @@ def block_table(
     or of one when S = N.  A failed check logs one warning per table.  Two
     threads that get an unchecked table at once may both check it.
     """
+    if policy.kind != "auto" or policy.key is not None:
+        raise InvalidParams(f"block tables take kind 'auto' and no key, not {policy}")
     params = schedule.block(i).table_params()
     seed = block_seed(policy.seed, i)
-    table = table_for(params, replace(policy, kind="auto", seed=seed, key=None))
+    table = table_for(params, TablePolicy(seed=seed))
     if table.is_explicit and table not in _checked_tables:
         _checked_tables.add(table)
         # D = M per block, so the prefix check is the relevant one: it
@@ -162,7 +150,7 @@ def block_table(
 class SequenceTransformer:
     """Binds (x, y, schedule, policy); block tables come from
     :func:`block_table`, whose cache is the process-wide one of
-    :func:`table_for`."""
+    :func:`table_for`, and which reads only the policy's seed."""
 
     def __init__(
         self,
@@ -184,6 +172,7 @@ class SequenceTransformer:
         return BitString(table.lookup(x_i.value, y_i.value), table.params.m_exp)
 
     def output_bit(self, pos: int) -> int:
+        """One output bit; reads both streams through the containing block."""
         i = self.schedule.block_of_output(pos)
         read_to = self.schedule.input_ends[i - 1]
         x_prefix = read_prefix(self.x, read_to)
@@ -193,6 +182,7 @@ class SequenceTransformer:
         return z_i.bit(pos - start)
 
     def transform_prefix(self, out_len: int) -> BitString:
+        """First ``out_len`` output bits; reads each stream once."""
         if out_len < 0:
             raise InvalidParams("out_len must be >= 0")
         if out_len == 0:
@@ -209,26 +199,3 @@ class SequenceTransformer:
         for i in range(self.schedule.first_emitting_block, i_max + 1):
             out = out.concat(self._block_output(i, x_prefix, y_prefix))
         return out.prefix(out_len)
-
-
-def output_bit(
-    x: BitStream,
-    y: BitStream,
-    schedule: SeqSchedule,
-    pos: int,
-    policy: TablePolicy = TablePolicy(),
-) -> int:
-    """One output bit; reads both streams through the containing block."""
-    return SequenceTransformer(x, y, schedule, policy).output_bit(pos)
-
-
-def transform_prefix(
-    x: BitStream,
-    y: BitStream,
-    schedule: SeqSchedule,
-    out_len: int,
-    policy: TablePolicy = TablePolicy(),
-) -> BitString:
-    """First ``out_len`` output bits; reads each stream once, through the
-    last needed block (at most 2 * sum of those blocks' lengths in total)."""
-    return SequenceTransformer(x, y, schedule, policy).transform_prefix(out_len)

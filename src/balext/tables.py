@@ -54,6 +54,7 @@ file, so its digest hashes the wide header instead, which no file carries:
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 import stat
@@ -328,12 +329,7 @@ class BalancedTable:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BalancedTable":
-        params, backend, seed_or_key, dt = _parse_header(data[:HEADER_BYTES], len(data))
-        cells = None
-        if dt is not None:
-            n_side = params.n_side
-            cells = np.frombuffer(data, dt, offset=HEADER_BYTES).reshape(n_side, n_side).copy()
-        return _checked(params, backend, seed_or_key, cells)
+        return _load(io.BytesIO(data), len(data))
 
     def write(self, path) -> None:
         """The header (refused before the file opens), then the cells.
@@ -356,17 +352,10 @@ class BalancedTable:
         """A table file's table, its payload read straight into the cell
         array once the header and the file's size have been checked."""
         with open(path, "rb") as fh:
-            head = fh.read(HEADER_BYTES)
             st = os.fstat(fh.fileno())
             if not stat.S_ISREG(st.st_mode):      # a pipe has no size to check
-                return cls.from_bytes(head + fh.read())
-            params, backend, seed_or_key, dt = _parse_header(head, st.st_size)
-            cells = None
-            if dt is not None:
-                cells = np.empty((params.n_side, params.n_side), dtype=dt)
-                if fh.readinto(cells) != cells.nbytes or fh.read(1):
-                    raise InvalidParams("cell payload size does not match header")
-        return _checked(params, backend, seed_or_key, cells)
+                return cls.from_bytes(fh.read())
+            return _load(fh, st.st_size)
 
     def digest(self) -> str:
         """SHA-256 of the file bytes, or of the wide header encoding when an
@@ -406,9 +395,16 @@ def _parse_header(head: bytes, size: int):
     return params, backend, seed_or_key, dt
 
 
-def _checked(params: TableParams, backend: int, seed_or_key: int, cells) -> BalancedTable:
-    """The table a file describes, once its cells' colors are in range."""
-    if cells is not None:
+def _load(fh, size: int) -> BalancedTable:
+    """The table in a table file of ``size`` bytes open at its start: the
+    header checked against the size, the payload read straight into the
+    cell array, and the colors range-checked before the cells freeze."""
+    params, backend, seed_or_key, dt = _parse_header(fh.read(HEADER_BYTES), size)
+    cells = None
+    if dt is not None:
+        cells = np.empty((params.n_side, params.n_side), dtype=dt)
+        if fh.readinto(cells) != cells.nbytes or fh.read(1):
+            raise InvalidParams("cell payload size does not match header")
         if int(cells.max(initial=0)) >= params.m_colors:
             raise InvalidParams("cell payload contains out-of-range colors")
         cells.setflags(write=False)

@@ -2,8 +2,9 @@
 tables, the naive all-colorset balance oracle, scalar per-rectangle check
 oracles, a scalar partial Fisher-Yates, a dict-based oracle for the
 MatchCompressor parse, a one-trial-at-a-time oracle for planted
-experiments and a per-word oracle for the keyed mixing function, and a
-tracemalloc peak.  Every test starts and ends with an empty table cache."""
+experiments, a per-word oracle for the keyed mixing function, a per-bit
+oracle for the seeded stream, and a tracemalloc peak.  Every test starts
+and ends with an empty table cache."""
 
 import tracemalloc
 from collections import Counter
@@ -268,6 +269,12 @@ def keyed_color_oracle(key: int, n_exp: int, m_exp: int, row: int, col: int) -> 
     for t in range((m_exp + 63) // 64):
         color |= stream_value(h, t) << (64 * t)
     return color & ((1 << m_exp) - 1)
+
+
+def stream_bit_oracle(seed: int, pos: int) -> int:
+    """Bit ``pos`` of ``SeededBitStream(seed)``, read one position at a
+    time: bit 63 - pos % 64 of the seed stream's output pos // 64."""
+    return (stream_value(seed, pos // 64) >> (63 - pos % 64)) & 1
 
 
 def peak_traced_bytes(fn) -> int:

@@ -15,12 +15,7 @@ from balext.cli import main as cli_main
 from balext.core import BitString, TableParams, derive_seq_schedule
 from balext.extract import TablePolicy, extract_string
 from balext.mixing import stream_bits, substream
-from balext.seqtransform import (
-    CountingBitStream,
-    SeededBitStream,
-    SequenceTransformer,
-    transform_prefix,
-)
+from balext.seqtransform import CountingBitStream, SeededBitStream, SequenceTransformer
 from balext.sources import (
     THETA_INDEP,
     MatchCompressor,
@@ -158,9 +153,9 @@ def test_c06_extractor_goldens():
         z = extract_string(x, y, F(1, 2), F(1, 8), TablePolicy(kind="random", seed=7))
         assert z.to01() == GOLDEN_STRING_N12
         sched = derive_seq_schedule(F(1, 2), F(1, 2), 2, 4)
-        zt = transform_prefix(
-            SeededBitStream(101), SeededBitStream(202), sched, 11, TablePolicy(seed=3)
-        )
+        zt = SequenceTransformer(
+            SeededBitStream(101), SeededBitStream(202), sched, TablePolicy(seed=3)
+        ).transform_prefix(11)
         assert zt.to01() == GOLDEN_TRANSFORM_11
 
 

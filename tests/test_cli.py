@@ -178,6 +178,21 @@ class TestGenVerify:
         assert doc["prefix_mode"] is True
         assert code in (0, 2)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_prefix_balance_refuses_d_exp(self, tmp_path, capsys, mode):
+        # the prefix check is D = M, so a --d-exp would be ignored
+        out, report = tmp_path / "t.btab", tmp_path / "r.json"
+        run(
+            capsys, "gen-table", "--n-exp", "3", "--m-exp", "2", "--s-exp", "2",
+            "--d-exp", "2", "--backend", "random", "--seed", "3", "--out", str(out),
+        )
+        code, stdout, err = run(
+            capsys, "verify-table", "--table", str(out), "--mode", mode,
+            "--prefix-balance", "--d-exp", "0", "--report", str(report),
+        )
+        assert code == 1 and stdout == "" and not report.exists()
+        assert err.startswith("error: invalid-params: --d-exp") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["--mode", "sampled", "--prefix-balance", "--s-exp", "4"],
         ["--s-exp", "-1"],

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balext import extract
 
@@ -15,22 +17,25 @@ from balext.seqtransform import (
     SequenceTransformer,
     block_seed,
     block_table,
-    output_bit,
     read_prefix,
-    transform_prefix,
 )
 from balext.mixing import stream_bits, stream_value
 from balext.tables import BACKEND_RANDOM, BalancedTable, random_table
 from balext.verify import verify_prefix_balance
+from conftest import stream_bit_oracle
 
 GOLDEN_TRANSFORM_11 = "00101101000"  # tau=1/2 delta=1/2 B=2, x=seed101, y=seed202, tables seed 3
 
 
-# the three in-tree streams, each built fresh per read
+BITS_7 = BitString(stream_bits(7, 5000), 5000)
+
+# the three in-tree streams, each built fresh per read, with the rule for
+# their bit i: the per-bit oracle, or the wrapped BitString's own bit
 STREAMS = {
-    "seeded": lambda: SeededBitStream(42),
-    "bitstring": lambda: BitStringStream(BitString(stream_bits(7, 5000), 5000)),
-    "counting": lambda: CountingBitStream(SeededBitStream(42)),
+    "seeded": (lambda: SeededBitStream(42), lambda i: stream_bit_oracle(42, i)),
+    "bitstring": (lambda: BitStringStream(BITS_7), BITS_7.bit),
+    "counting": (lambda: CountingBitStream(SeededBitStream(42)),
+                 lambda i: stream_bit_oracle(42, i)),
 }
 
 
@@ -48,32 +53,49 @@ def b2_schedule(max_block=4):
 class TestStreams:
     def test_seeded_stream_is_repeatable_and_addressable(self):
         s = SeededBitStream(42)
-        first = [s.bit(i) for i in range(100)]
-        assert [s.bit(i) for i in range(100)] == first
-        assert s.bit(77) == first[77]
+        first = s.prefix(100)
+        assert s.prefix(100) == first
+        assert list(first) == [stream_bit_oracle(42, i) for i in range(100)]
+        assert s.prefix(78).bit(77) == first.bit(77)
         # documented rule: bit p is bit p%64 (MSB-first) of output p//64
-        assert s.bit(0) == stream_value(42, 0) >> 63
-        assert s.bit(64) == stream_value(42, 1) >> 63
+        assert first.bit(0) == stream_value(42, 0) >> 63
+        assert first.bit(64) == stream_value(42, 1) >> 63
 
     def test_bitstring_stream_bounds(self):
         s = BitStringStream(BitString.from01("101"))
-        assert [s.bit(i) for i in range(3)] == [1, 0, 1]
+        assert list(s.prefix(3)) == [1, 0, 1]
         with pytest.raises(OutOfRange):
-            s.bit(3)
+            s.prefix(4)
 
     def test_read_prefix(self):
-        s = SeededBitStream(1)
-        p = read_prefix(s, 70)
+        p = read_prefix(SeededBitStream(1), 70)
         assert len(p) == 70
-        assert list(p) == [s.bit(i) for i in range(70)]
+        assert list(p) == [stream_bit_oracle(1, i) for i in range(70)]
 
     @pytest.mark.parametrize("kind", sorted(STREAMS))
     @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097])
     def test_read_prefix_equals_bit_reads(self, kind, count):
-        bulk = read_prefix(STREAMS[kind](), count)
-        per_bit = STREAMS[kind]()
+        make, bit = STREAMS[kind]
+        bulk = read_prefix(make(), count)
         assert len(bulk) == count
-        assert list(bulk) == [per_bit.bit(i) for i in range(count)]
+        assert list(bulk) == [bit(i) for i in range(count)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           counts=st.lists(st.integers(0, 300), max_size=6))
+    def test_prefixes_match_oracles(self, seed, counts):
+        # across word boundaries: each prefix agrees bit for bit with the
+        # per-bit rule, and a counting wrapper reads them as prefix reads
+        want = [stream_bit_oracle(seed, i) for i in range(300)]
+        bits = BitString(stream_bits(seed ^ 1, 300), 300)
+        counting = CountingBitStream(SeededBitStream(seed))
+        for count in counts:
+            assert list(SeededBitStream(seed).prefix(count)) == want[:count]
+            assert list(BitStringStream(bits).prefix(count)) == [
+                bits.bit(i) for i in range(count)]
+            assert list(counting.prefix(count)) == want[:count]
+        assert counting.reads == sum(counts)
+        assert counting.positions == range(max(counts, default=0))
 
     def test_prefix_past_the_end(self):
         bits = BitString(stream_bits(9, 100), 100)
@@ -92,13 +114,24 @@ class TestStreams:
 
     @pytest.mark.parametrize("count", [0, 1, 65, 4097])
     def test_counting_prefix_counts_like_bit_reads(self, count):
+        # one prefix read counts as reading each of positions 0..count-1 once
         bulk = CountingBitStream(BitStringStream(read_prefix(SeededBitStream(3), 5000)))
         bulk.prefix(count)
-        per_bit = CountingBitStream(SeededBitStream(3))
-        for i in range(count):
-            per_bit.bit(i)
-        assert bulk.reads == per_bit.reads == count
-        assert bulk.positions == per_bit.positions == set(range(count))
+        assert bulk.reads == count
+        assert bulk.positions == range(count)
+
+    def test_counting_positions_past_maxsize(self):
+        # a range longer than sys.maxsize has no len(), and must still grow
+        class Unbuilt:
+            def prefix(self, count):
+                return count            # stands in for a prefix too long to build
+
+        s = CountingBitStream(Unbuilt())
+        assert s.prefix(1 << 64) == 1 << 64
+        s.prefix(5)
+        s.prefix((1 << 64) + 1)
+        assert s.positions == range((1 << 64) + 1)
+        assert s.reads == (1 << 65) + 6
 
     def test_counting_prefix_records_nothing_on_error(self):
         neg = CountingBitStream(SeededBitStream(1))
@@ -109,7 +142,7 @@ class TestStreams:
             past.prefix(11)
         for s in (neg, past):
             assert s.reads == 0
-            assert s.positions == set()
+            assert s.positions == range(0)
 
 
 class TestLayout:
@@ -138,28 +171,28 @@ class TestLayout:
 
 class TestTransform:
     def test_golden_prefix(self):
-        z = transform_prefix(
-            SeededBitStream(101), SeededBitStream(202), b2_schedule(), 11,
-            TablePolicy(seed=3),
-        )
+        z = SequenceTransformer(
+            SeededBitStream(101), SeededBitStream(202), b2_schedule(), TablePolicy(seed=3),
+        ).transform_prefix(11)
         assert z.to01() == GOLDEN_TRANSFORM_11
 
     def test_output_bit_agrees_with_prefix(self):
         sched = b2_schedule()
         x, y = SeededBitStream(101), SeededBitStream(202)
         pol = TablePolicy(seed=3)
-        bits = [output_bit(x, y, sched, p, pol) for p in range(11)]
+        bits = [SequenceTransformer(x, y, sched, pol).output_bit(p) for p in range(11)]
         assert BitString.from_bits(bits).to01() == GOLDEN_TRANSFORM_11
 
     def test_empty_prefix(self):
-        z = transform_prefix(SeededBitStream(1), SeededBitStream(2), b2_schedule(), 0)
+        z = SequenceTransformer(SeededBitStream(1), SeededBitStream(2),
+                                b2_schedule()).transform_prefix(0)
         assert len(z) == 0
 
     def test_single_block_prefix_equals_block_color(self):
         sched = b2_schedule()
         x, y = SeededBitStream(101), SeededBitStream(202)
         pol = TablePolicy(seed=3)
-        z = transform_prefix(x, y, sched, 1, pol)  # m_2 = 1
+        z = SequenceTransformer(x, y, sched, pol).transform_prefix(1)  # m_2 = 1
         t2 = block_table(sched, 2, pol)
         x2 = read_prefix(x, 6).substring(2, 6)
         y2 = read_prefix(y, 6).substring(2, 6)
@@ -169,9 +202,10 @@ class TestTransform:
         sched = b2_schedule()
         pol = TablePolicy(seed=3)
         x, y = SeededBitStream(5), SeededBitStream(6)
-        full = transform_prefix(x, y, sched, 11, pol)
+        full = SequenceTransformer(x, y, sched, pol).transform_prefix(11)
         for k in range(12):
-            assert transform_prefix(x, y, sched, min(k, 11), pol) == full.prefix(min(k, 11))
+            tr = SequenceTransformer(x, y, sched, pol)
+            assert tr.transform_prefix(min(k, 11)) == full.prefix(min(k, 11))
 
     def test_interleaved_cursors_identical(self):
         sched = b2_schedule()
@@ -189,7 +223,25 @@ class TestTransform:
 
     def test_out_len_beyond_schedule(self):
         with pytest.raises(InvalidParams):
-            transform_prefix(SeededBitStream(1), SeededBitStream(2), b2_schedule(), 12)
+            SequenceTransformer(SeededBitStream(1), SeededBitStream(2),
+                                b2_schedule()).transform_prefix(12)
+
+    @pytest.mark.parametrize("policy", [TablePolicy(kind="canonical", seed=3, key=99),
+                                        TablePolicy(kind="random", seed=3),
+                                        TablePolicy(kind="keyed", seed=3),
+                                        TablePolicy(seed=3, key=99)],
+                             ids=["canonical-key", "random", "keyed", "auto-key"])
+    def test_policy_other_than_auto_refused(self, policy):
+        # block tables read only the policy's seed; a kind or key that they
+        # would ignore is refused, not answered with the seed-3 golden
+        tr = SequenceTransformer(SeededBitStream(101), SeededBitStream(202),
+                                 b2_schedule(), policy)
+        with pytest.raises(InvalidParams):
+            tr.transform_prefix(11)
+        with pytest.raises(InvalidParams):
+            tr.output_bit(0)
+        with pytest.raises(InvalidParams):
+            block_table(b2_schedule(), 2, policy)
 
 
 class TestTruthTableProperty:
@@ -228,15 +280,14 @@ class TestTruthTableProperty:
         pol = TablePolicy(seed=3)
         base_x = read_prefix(SeededBitStream(101), 30)
         base_y = read_prefix(SeededBitStream(202), 30)
-        z_base = transform_prefix(
-            BitStringStream(base_x), BitStringStream(base_y), sched, 11, pol
-        )
+        z_base = SequenceTransformer(
+            BitStringStream(base_x), BitStringStream(base_y), sched, pol
+        ).transform_prefix(11)
         # flip a bit inside block 4's input region (positions 14..29)
         flipped = base_x.value ^ (1 << (30 - 1 - 20))
-        z_flip = transform_prefix(
-            BitStringStream(BitString(flipped, 30)), BitStringStream(base_y), sched,
-            11, pol,
-        )
+        z_flip = SequenceTransformer(
+            BitStringStream(BitString(flipped, 30)), BitStringStream(base_y), sched, pol,
+        ).transform_prefix(11)
         assert z_flip.prefix(4) == z_base.prefix(4)  # blocks 2..3 untouched
 
 
