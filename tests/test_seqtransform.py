@@ -129,6 +129,7 @@ class TestStreams:
         s = CountingBitStream(Unbuilt())
         assert s.prefix(1 << 64) == 1 << 64
         s.prefix(5)
+        assert s.positions == range(1 << 64)
         s.prefix((1 << 64) + 1)
         assert s.positions == range((1 << 64) + 1)
         assert s.reads == (1 << 65) + 6
