@@ -72,10 +72,23 @@ def _int_auto(text: str) -> int:
     return int(text, 0)
 
 
+def _seed64(seed: int) -> int:
+    """``seed`` if it is a 64-bit seed; any other value is refused, not
+    reduced mod 2^64."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidParams(f"--seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def _cmd_gen_table(args) -> int:
+    if args.backend == "canonical" and args.seed is not None:
+        raise InvalidParams("--seed does not apply to --backend canonical")
+    seed = 0 if args.seed is None else args.seed
+    if args.backend == "random":
+        _seed64(seed)
     params = TableParams(args.n_exp, args.m_exp, args.s_exp, args.d_exp)
     # uncached: a table written to a file is not kept; the write also gives the digest
-    table = build_table(params, TablePolicy(args.backend, seed=args.seed, key=args.seed))
+    table = build_table(params, TablePolicy(args.backend, seed=seed, key=seed))
     try:
         table.write(args.out)
     except OSError as e:
@@ -87,6 +100,10 @@ def _cmd_gen_table(args) -> int:
 def _cmd_verify_table(args) -> int:
     if args.prefix_balance and args.d_exp is not None:
         raise InvalidParams("--d-exp does not apply to --prefix-balance (D = M)")
+    if args.mode == "exhaustive" and (args.samples, args.seed) != (None, None):
+        raise InvalidParams("--samples and --seed apply to sampled mode only")
+    samples = 1000 if args.samples is None else args.samples
+    seed = _seed64(0 if args.seed is None else args.seed)
     try:
         table = BalancedTable.read(args.table)
     except OSError as e:
@@ -94,16 +111,12 @@ def _cmd_verify_table(args) -> int:
     s_exp = args.s_exp if args.s_exp is not None else table.params.s_exp
     d_exp = args.d_exp if args.d_exp is not None else table.params.d_exp
     if args.prefix_balance:
-        report = verify_prefix_balance(
-            table, s_exp, mode=args.mode, samples=args.samples,
-            seed=args.seed, threads=args.threads,
-        )
+        report = verify_prefix_balance(table, s_exp, mode=args.mode, samples=samples,
+                                       seed=seed, threads=args.threads)
     elif args.mode == "exhaustive":
         report = verify_exhaustive(table, s_exp, d_exp)
     else:
-        report = verify_sampled(
-            table, s_exp, d_exp, args.samples, args.seed, threads=args.threads
-        )
+        report = verify_sampled(table, s_exp, d_exp, samples, seed, threads=args.threads)
     doc = report.to_json()
     if args.report:
         _write_bytes(args.report, doc.encode() + b"\n")
@@ -123,25 +136,27 @@ def _cmd_check_condition(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    policy = TablePolicy(seed=_seed64(args.seed))
     x = _read_bits(args.x, args.bits)
     y = _read_bits(args.y, args.bits)
-    z = extract_string(x, y, parse_fraction(args.sigma), parse_fraction(args.alpha),
-                       TablePolicy(seed=args.seed))
+    z = extract_string(x, y, parse_fraction(args.sigma), parse_fraction(args.alpha), policy)
     _write_bytes(args.out, z.to_bytes())
     print(f"bits={len(z)} out={args.out}")
     return EXIT_OK
 
 
 def _cmd_extract_cond(args) -> int:
+    policy = TablePolicy(seed=_seed64(args.seed))
     x = _read_bits(args.x, args.bits)
     y = _read_bits(args.y, args.bits)
-    z = extract_conditional(x, y, args.s, args.alpha, TablePolicy(seed=args.seed))
+    z = extract_conditional(x, y, args.s, args.alpha, policy)
     _write_bytes(args.out, z.to_bytes())
     print(f"bits={len(z)} out={args.out}")
     return EXIT_OK
 
 
 def _cmd_transform(args) -> int:
+    policy = TablePolicy(seed=_seed64(args.seed))
     x = _read_bits(args.x, None)
     y = _read_bits(args.y, None)
     # the longest schedule: the transformer reads no block past the one
@@ -162,9 +177,7 @@ def _cmd_transform(args) -> int:
             EXIT_IO, "io",
             f"input too short: need {needed} bits, have {len(x)} (x) / {len(y)} (y)",
         )
-    tr = SequenceTransformer(
-        BitStringStream(x), BitStringStream(y), schedule, TablePolicy(seed=args.seed)
-    )
+    tr = SequenceTransformer(BitStringStream(x), BitStringStream(y), schedule, policy)
     z = tr.transform_prefix(args.out_bits)
     _write_bytes(args.out, z.to_bytes())
     print(f"bits={len(z)} blocks_used={used} out={args.out}")
@@ -173,7 +186,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_experiment(args) -> int:
     spec = PlantedPairSpec(
-        args.n, parse_fraction(args.sigma), parse_fraction(args.alpha), args.seed
+        args.n, parse_fraction(args.sigma), parse_fraction(args.alpha), _seed64(args.seed)
     )
     if args.threads < 1:
         raise InvalidParams("need threads >= 1")
@@ -215,18 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-exp", type=int, required=True, help="log2 of the divisor D")
     p.add_argument("--backend", choices=["random", "canonical", "keyed"],
                    default="random")
-    p.add_argument("--seed", type=_int_auto, default=0,
-                   help="64-bit seed (random) or raw 128-bit key (keyed); "
-                   "0x-hex accepted")
+    p.add_argument("--seed", type=_int_auto, default=None,
+                   help="64-bit seed (random) or raw 128-bit key (keyed), default 0; "
+                   "not with --backend canonical; 0x-hex accepted")
     p.add_argument("--out", required=True, help="output table file (BTAB format)")
     p.set_defaults(fn=_cmd_gen_table)
 
     p = sub.add_parser("verify-table", help="check a table file for balance")
     p.add_argument("--table", required=True, help="table file (BTAB format)")
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--samples", type=int, default=1000,
-                   help="rectangle count for sampled mode")
-    p.add_argument("--seed", type=_int_auto, default=0, help="sampling seed")
+    p.add_argument("--samples", type=int, default=None,
+                   help="rectangle count, default 1000; sampled mode only")
+    p.add_argument("--seed", type=_int_auto, default=None,
+                   help="64-bit sampling seed, default 0; sampled mode only")
     p.add_argument("--prefix-balance", action="store_true",
                    help="check color-prefix buckets at every length (D = M regime)")
     p.add_argument("--s-exp", type=int, default=None,

@@ -148,7 +148,8 @@ class BitString:
 @dataclass(frozen=True)
 class TableParams:
     """Exponents of the table sizes: N=2**n_exp rows/cols, M=2**m_exp colors,
-    S=2**s_exp the rectangle side, D=2**d_exp the color-set divisor."""
+    S=2**s_exp the rectangle side, D=2**d_exp the color-set divisor.  The
+    balance definition quantifies over color sets A of size |A| = M/D."""
 
     n_exp: int
     m_exp: int
@@ -179,11 +180,6 @@ class TableParams:
     def d_divisor(self) -> int:
         return 1 << self.d_exp
 
-    @property
-    def dominant_size(self) -> int:
-        """|A| = M/D, the color-set size the balance definition quantifies over."""
-        return 1 << (self.m_exp - self.d_exp)
-
 
 # ---------------------------------------------------------------------------
 # Unconditional string-extractor parameters
@@ -194,11 +190,10 @@ class TableParams:
 class StringExtractParams:
     """Derived shape for the unconditional extractor at input length n.
 
-    ``guarantee_degenerate`` marks parameterizations where the derived
-    color-divisor exponent reaches or exceeds the output length, i.e. n is
-    too small for the complexity guarantee to say anything; extraction still
-    works mechanically (the table is indexed and a color returned) but no
-    quality claim attaches.
+    When the derived color-divisor exponent reaches or exceeds the output
+    length (d_exp >= m_exp), n is too small for the complexity guarantee to
+    say anything; extraction still works mechanically (the table is indexed
+    and a color returned) but no quality claim attaches.
     """
 
     n: int
@@ -207,7 +202,6 @@ class StringExtractParams:
     m_exp: int
     s_exp: int
     d_exp: int
-    guarantee_degenerate: bool = False
 
     def table_params(self) -> TableParams:
         return TableParams(
@@ -234,8 +228,8 @@ def derive_string_params(
     Strict mode enforces the full hypothesis (0 < alpha < sigma <= 1 and
     d_exp < m_exp) and raises InvalidParams when n is too small for the
     given rates.  Non-strict mode only requires the shape to be usable
-    (m_exp >= 1, s_exp <= n, 0 <= alpha <= sigma) and flags the result as
-    guarantee_degenerate when d_exp >= m_exp.
+    (m_exp >= 1, s_exp <= n, 0 <= alpha <= sigma) and also returns shapes
+    with d_exp >= m_exp, where the guarantee is degenerate.
     """
     sigma = Fraction(sigma)
     alpha = Fraction(alpha)
@@ -255,15 +249,13 @@ def derive_string_params(
         raise InvalidParams(f"derived m_exp = {m_exp} < 1: n too small for sigma")
     if s_exp > n:
         raise InvalidParams(f"derived s_exp = {s_exp} > n = {n}")
-    degenerate = d_exp >= m_exp
-    if strict and degenerate:
+    if strict and d_exp >= m_exp:
         raise InvalidParams(
             f"derived d_exp = {d_exp} >= m_exp = {m_exp}: n too small for (sigma, alpha)"
         )
     return StringExtractParams(
         n=n, sigma=sigma, alpha=alpha,
         m_exp=m_exp, s_exp=s_exp, d_exp=d_exp,
-        guarantee_degenerate=degenerate,
     )
 
 
@@ -276,9 +268,8 @@ def derive_string_params(
 class CondExtractParams:
     """Derived shape for the conditional extractor (D = M).
 
-    ``guarantee_slack`` records alpha(n) + 11*ceil(log2 n), the slack term
-    subtracted from m in the conditional-complexity guarantee; it is
-    reported, never enforced.
+    The conditional-complexity guarantee subtracts the slack term
+    alpha(n) + 11*ceil(log2 n) from m; it is never enforced.
     """
 
     n: int
@@ -286,7 +277,6 @@ class CondExtractParams:
     alpha_of_n: int
     m_exp: int
     s_exp: int
-    guarantee_slack: int
 
     @property
     def d_exp(self) -> int:
@@ -323,7 +313,6 @@ def derive_cond_params(n: int, s_of_n: int, alpha_of_n: int) -> CondExtractParam
     return CondExtractParams(
         n=n, s_of_n=s_of_n, alpha_of_n=alpha_of_n,
         m_exp=m_exp, s_exp=s_exp,
-        guarantee_slack=alpha_of_n + 11 * log_n,
     )
 
 
@@ -369,7 +358,7 @@ class SeqSchedule:
     output length rounds to zero are kept but flagged invalid; the first
     valid block is where output begins.  ``alpha`` is the dependency rate
     up to which the target randomness rate 1 - delta is claimed; when
-    delta >= 1 that target is vacuous and ``rate_vacuous`` says so.
+    delta >= 1 that target is vacuous, and the schedule is still built.
 
     The offsets follow from ``blocks``: ``input_ends[i-1]`` is the input
     bits each stream holds through block i, and ``output_starts[i-1]`` the
@@ -397,10 +386,6 @@ class SeqSchedule:
             if b.valid:
                 return b.index
         return None
-
-    @property
-    def rate_vacuous(self) -> bool:
-        return self.delta >= 1
 
     @property
     def total_output_bits(self) -> int:

@@ -131,8 +131,8 @@ def extract_string(
     """Unconditional extraction: the table color at (row x, column y).
 
     Parameters are derived non-strictly: input lengths too small for the
-    complexity guarantee still extract (the derivation flags them as
-    guarantee-degenerate), but shapes with no output bits are rejected.
+    complexity guarantee (d_exp >= m_exp) still extract with no quality
+    claim attached, but shapes with no output bits are rejected.
     """
     return _extract(x, y, lambda n: derive_string_params(n, sigma, alpha, strict=False),
                     policy)

@@ -3,11 +3,11 @@
 The balance property quantifies over all color sets A of size M/D and all
 S x S rectangles; for a fixed rectangle the worst A is the M/D most
 frequent colors, so each rectangle needs one histogram and a top-k sum
-(the dominant-subset check) instead of a C(M, M/D) enumeration.  Checking
-rectangles of side exactly S suffices: a larger rectangle's color fraction
-is the average of its S x S sub-rectangles' fractions.  The prefix rule
-(D = M, every color-prefix bucket) reduces to the single-color check, see
-:func:`_check_counts`.
+(the dominant-subset check) instead of a C(M, M/D) enumeration.  Every
+verifier checks S x S rectangles only, and that suffices: a larger
+rectangle's color fraction is the average of its S x S sub-rectangles'
+fractions.  The prefix rule (D = M, every color-prefix bucket) reduces
+to the single-color check, see :func:`_check_counts`.
 
 Every verifier ends in one core, :func:`_check_counts`, on a color-major
 (U, K) count array: row u holds one of U ascending color labels, column k
@@ -155,35 +155,21 @@ class _Rule(NamedTuple):
     m_exp: int
     d_exp: int
     prefix: bool               # a prefix report, checked with d_exp = m_exp
-    rows: int                  # rectangle sides
-    cols: int
+    side: int                  # the rectangle side S
 
     @property
     def area(self) -> int:
-        return self.rows * self.cols
+        return self.side * self.side
 
 
-def _rule(
-    table: BalancedTable,
-    s_exp: int | None,
-    d_exp: int,
-    *,
-    prefix: bool = False,
-    sides: tuple[int, int] | None = None,
-) -> _Rule:
-    """The parameter check every verifier goes through: S x S rectangles
-    for ``s_exp``, or the given (rows, cols) ``sides``."""
+def _rule(table: BalancedTable, s_exp: int, d_exp: int, *, prefix: bool = False) -> _Rule:
+    """The parameter check every verifier goes through."""
     p = table.params
-    if sides is None:
-        if not 0 <= s_exp <= p.n_exp:
-            raise InvalidParams(f"need 0 <= s_exp <= n_exp = {p.n_exp}, got {s_exp}")
-        sides = (1 << s_exp, 1 << s_exp)
-    rows, cols = sides
-    if not (1 <= rows <= p.n_side and 1 <= cols <= p.n_side):
-        raise InvalidParams(f"rectangle sides {sides} must lie in [1, N = {p.n_side}]")
+    if not 0 <= s_exp <= p.n_exp:
+        raise InvalidParams(f"need 0 <= s_exp <= n_exp = {p.n_exp}, got {s_exp}")
     if not 0 <= d_exp <= p.m_exp:
         raise InvalidParams("need 0 <= d_exp <= m_exp")
-    return _Rule(p.m_exp, d_exp, prefix, rows, cols)
+    return _Rule(p.m_exp, d_exp, prefix, 1 << s_exp)
 
 
 def _check_counts(counts: np.ndarray, rule: _Rule):
@@ -259,9 +245,8 @@ def _scan(chunks, rule: _Rule, ranked: bool = False):
 
 def _report(table, s_exp, rule, result, samples=None) -> VerificationReport:
     worst, witness = result
-    n_side = table.params.n_side
     if samples is None:
-        checked = math.comb(n_side, rule.rows) * math.comb(n_side, rule.cols)
+        checked = math.comb(table.params.n_side, rule.side) ** 2
     else:
         checked = samples
     return VerificationReport(
@@ -279,11 +264,10 @@ def _report(table, s_exp, rule, result, samples=None) -> VerificationReport:
 
 
 class _Enumeration(NamedTuple):
-    """What enumerating the rows x cols rectangles of an N x N table with M
-    colors needs besides its cells."""
+    """What enumerating the S x S rectangles of an N x N table with M colors
+    needs besides its cells."""
 
-    row_index: np.ndarray           # S-subsets, lexicographic, as (count, side)
-    col_index: np.ndarray
+    index: np.ndarray               # S-subsets of rows and of columns, lexicographic
     labels: np.ndarray              # np.arange(M)
     n_rows: int                     # row and column subsets per chunk
     n_cols: int
@@ -292,52 +276,51 @@ class _Enumeration(NamedTuple):
 
 
 @lru_cache(maxsize=2)
-def _enumeration(n_side: int, rows: int, cols: int, m_colors: int) -> _Enumeration:
+def _enumeration(n_side: int, side: int, m_colors: int) -> _Enumeration:
     """The subsets, labels, chunk shape and count method of an enumeration.
 
     Counting ``by_row`` builds, once per table, each row's histogram over
-    every column subset, M * N * C(N, cols) entries, and sums a
-    rectangle's rows of them, rows * M reads.  It is chosen whenever
-    those histograms and their gathered cells fit in _CHUNK entries, so
-    they never grow with the number of subsets.  Otherwise each chunk
-    gathers and counts its rectangles' cells, and holds several row
-    subsets only when it holds every column subset, so chunks stay in
-    rows-major order.  Either way a chunk's gathered cells and count array
-    hold at most _CHUNK entries, unless one rectangle's do.
+    every column subset, M * N * C(N, S) entries, and sums a rectangle's
+    rows of them, S * M reads.  It is chosen whenever those histograms and
+    their gathered cells fit in _CHUNK entries, so they never grow with
+    the number of subsets.  Otherwise each chunk gathers and counts its
+    rectangles' cells, and holds several row subsets only when it holds
+    every column subset, so chunks stay in rows-major order.  Either way a
+    chunk's gathered cells and count array hold at most _CHUNK entries,
+    unless one rectangle's do.
     """
-    height, width = math.comb(n_side, rows), math.comb(n_side, cols)
-    by_row = n_side * width * max(cols, m_colors) <= _CHUNK
+    subsets = math.comb(n_side, side)
+    by_row = n_side * subsets * max(side, m_colors) <= _CHUNK
     if by_row:
-        n_cols = width
-        n_rows = min(height, max(1, _CHUNK // (m_colors * width)))
+        n_cols = subsets
+        n_rows = min(subsets, max(1, _CHUNK // (m_colors * subsets)))
         # (row r, subset c) of a color's per-row histograms
-        slots = (np.arange(n_side)[:, None] * width + np.arange(width))[:, :, None]
+        slots = (np.arange(n_side)[:, None] * subsets + np.arange(subsets))[:, :, None]
     else:
-        per_rect = max(rows * cols, m_colors)
-        n_cols = min(width, max(1, _CHUNK // per_rect))
+        per_rect = max(side * side, m_colors)
+        n_cols = min(subsets, max(1, _CHUNK // per_rect))
         n_rows = 1
-        if n_cols == width:
-            n_rows = min(height, max(1, _CHUNK // (n_cols * per_rect)))
+        if n_cols == subsets:
+            n_rows = min(subsets, max(1, _CHUNK // (n_cols * per_rect)))
         # the count row of each rectangle in a chunk
         slots = (np.arange(n_rows)[:, None, None, None] * n_cols
                  + np.arange(n_cols)[:, None]) * m_colors
     arrays = (
-        np.array(list(combinations(range(n_side), rows)), np.intp).reshape(height, rows),
-        np.array(list(combinations(range(n_side), cols)), np.intp).reshape(width, cols),
+        np.array(list(combinations(range(n_side), side)), np.intp).reshape(subsets, side),
         np.arange(m_colors),
         slots,
     )
     for a in arrays:
         a.setflags(write=False)
-    row_index, col_index, labels, slots = arrays
-    return _Enumeration(row_index, col_index, labels, n_rows, n_cols, by_row, slots)
+    index, labels, slots = arrays
+    return _Enumeration(index, labels, n_rows, n_cols, by_row, slots)
 
 
 def _exhaustive(table: BalancedTable, rule: _Rule):
     """Yield (rectangle of column, count array, labels) chunks covering
-    every rectangle of the rule's sides, rows-major in lexicographic order.
+    every S x S rectangle, rows-major in lexicographic order.
 
-    By rows, one ``bincount`` builds the (M, N, C(N, cols)) per-row
+    By rows, one ``bincount`` builds the (M, N, C(N, S)) per-row
     histograms, and a chunk of row subsets sums its rows' histograms with
     one contiguous ``take`` per row.  Directly, each chunk gathers its
     rectangles' cells with two ``take`` calls and counts them with one
@@ -347,10 +330,11 @@ def _exhaustive(table: BalancedTable, rule: _Rule):
     if not table.is_explicit:
         raise TooLarge("exhaustive verification requires an explicit table")
     n_side, m_colors = table.params.n_side, table.params.m_colors
-    count = math.comb(n_side, rule.rows) * math.comb(n_side, rule.cols)
+    count = math.comb(n_side, rule.side) ** 2
     if count > ENUM_CAP:
         raise TooLarge(f"{count} rectangles exceed the enumeration cap {ENUM_CAP}")
-    e = _enumeration(n_side, rule.rows, rule.cols, m_colors)
+    e = _enumeration(n_side, rule.side, m_colors)
+    subsets = len(e.index)
     cells = table.cells
     if cells is None:            # a formula table's cells, held for this check only
         cells = table.grid(np.arange(n_side), np.arange(n_side))
@@ -358,41 +342,32 @@ def _exhaustive(table: BalancedTable, rule: _Rule):
     def chunk_rect(r0, c0, width):
         def rect(i):
             r, c = divmod(i, width)
-            return Rectangle(tuple(e.row_index[r0 + r].tolist()),
-                             tuple(e.col_index[c0 + c].tolist()))
+            return Rectangle(tuple(e.index[r0 + r].tolist()),
+                             tuple(e.index[c0 + c].tolist()))
         return rect
 
     if e.by_row:
-        width = len(e.col_index)
-        cells = cells.take(e.col_index, axis=1)                 # (N, w, cols)
-        slots = cells * np.intp(n_side * width) + e.slots
-        hist = np.bincount(slots.ravel(), minlength=m_colors * n_side * width)
-        hist = hist.reshape(m_colors, n_side, width)
-        for r0 in range(0, len(e.row_index), e.n_rows):
-            rows = e.row_index[r0:r0 + e.n_rows]
+        cells = cells.take(e.index, axis=1)                     # (N, w, S)
+        slots = cells * np.intp(n_side * subsets) + e.slots
+        hist = np.bincount(slots.ravel(), minlength=m_colors * n_side * subsets)
+        hist = hist.reshape(m_colors, n_side, subsets)
+        for r0 in range(0, subsets, e.n_rows):
+            rows = e.index[r0:r0 + e.n_rows]
             counts = hist.take(rows[:, 0], axis=1)              # (M, k, w)
-            for j in range(1, rule.rows):
+            for j in range(1, rule.side):
                 counts += hist.take(rows[:, j], axis=1)
-            yield chunk_rect(r0, 0, width), counts.reshape(m_colors, -1), e.labels
+            yield chunk_rect(r0, 0, subsets), counts.reshape(m_colors, -1), e.labels
         return
-    for r0 in range(0, len(e.row_index), e.n_rows):
-        block = cells.take(e.row_index[r0:r0 + e.n_rows], axis=0)  # (k, rows, N)
-        for c0 in range(0, len(e.col_index), e.n_cols):
-            chunk = e.col_index[c0:c0 + e.n_cols]
-            grid = block.take(chunk, axis=2)                    # (k, rows, w, cols)
+    for r0 in range(0, subsets, e.n_rows):
+        block = cells.take(e.index[r0:r0 + e.n_rows], axis=0)   # (k, S, N)
+        for c0 in range(0, subsets, e.n_cols):
+            chunk = e.index[c0:c0 + e.n_cols]
+            grid = block.take(chunk, axis=2)                    # (k, S, w, S)
             slots = grid + e.slots[:len(block), :, :len(chunk)]
             size = len(block) * len(chunk) * m_colors
             counts = np.bincount(slots.ravel(), minlength=size)
             yield (chunk_rect(r0, c0, len(chunk)), counts.reshape(-1, m_colors).T,
                    e.labels)
-
-
-def _holds(table: BalancedTable, rule: _Rule) -> bool:
-    """Exhaustive pass/fail, stopping at the first violating chunk."""
-    for _, counts, _ in _exhaustive(table, rule):
-        if _check_counts(counts, rule)[1] is not None:
-            return False
-    return True
 
 
 def verify_exhaustive(
@@ -407,19 +382,11 @@ def verify_exhaustive(
 
 
 def balance_holds(table: BalancedTable, s_exp: int, d_exp: int) -> bool:
-    """Early-exit exhaustive pass/fail (used by the canonical search)."""
-    return _holds(table, _rule(table, s_exp, d_exp))
-
-
-def check_rectangle_sides(
-    table: BalancedTable, side_rows: int, side_cols: int, d_exp: int
-) -> bool:
-    """Pass/fail over all rectangles of the given (possibly unequal) sides.
-
-    Supports the averaging property tests: balance verified at side S
-    should persist at any larger sides.
-    """
-    return _holds(table, _rule(table, None, d_exp, sides=(side_rows, side_cols)))
+    """Early-exit exhaustive pass/fail (used by the canonical search):
+    stops at the first violating chunk."""
+    rule = _rule(table, s_exp, d_exp)
+    return all(_check_counts(counts, rule)[1] is None
+               for _, counts, _ in _exhaustive(table, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +423,13 @@ def _sampled(table: BalancedTable, rule: _Rule, seed: int, start: int, count: in
     else:
         step = max(1, _CHUNK // p.m_colors)
         labels = np.arange(p.m_colors)
-    draw = max(1, _CHUNK // rule.rows)
+    draw = max(1, _CHUNK // rule.side)
 
     def chunks():
         for d0 in range(0, count, draw):
             states = stream_block_np(seed, 2 * (start + d0), 2 * min(draw, count - d0))
-            batch = list(zip(partial_shuffle_batch(states[0::2], p.n_side, rule.rows),
-                             partial_shuffle_batch(states[1::2], p.n_side, rule.rows)))
+            batch = list(zip(partial_shuffle_batch(states[0::2], p.n_side, rule.side),
+                             partial_shuffle_batch(states[1::2], p.n_side, rule.side)))
             for b0 in range(0, len(batch), step):
                 yield batch[b0:b0 + step]
 

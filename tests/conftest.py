@@ -85,17 +85,19 @@ def partial_shuffle_oracle(state: int, n: int, take: int) -> list[int]:
     return out
 
 
-def naive_balance_oracle(table: BalancedTable, s_exp: int, d_exp: int) -> bool:
+def naive_balance_oracle(table: BalancedTable, s_exp: int, d_exp: int,
+                         sides: tuple[int, int] | None = None) -> bool:
     """Definition-verbatim check: every size-M/D color set against every
-    S x S rectangle, no histogram shortcuts."""
+    S x S rectangle, or every rectangle of the given (rows, cols) ``sides``,
+    no histogram shortcuts."""
     p = table.params
     n_side, m_colors = p.n_side, p.m_colors
-    s_side = 1 << s_exp
+    side_rows, side_cols = sides or (1 << s_exp, 1 << s_exp)
     kdom = m_colors >> d_exp
-    bound_rhs = 2 * s_side * s_side  # compare mass * D <= 2 * area
+    bound_rhs = 2 * side_rows * side_cols  # compare mass * D <= 2 * area
     d_div = 1 << d_exp
-    for rows in combinations(range(n_side), s_side):
-        for cols in combinations(range(n_side), s_side):
+    for rows in combinations(range(n_side), side_rows):
+        for cols in combinations(range(n_side), side_cols):
             counts = {}
             for r in rows:
                 for c in cols:

@@ -25,7 +25,6 @@ from balext.sources import (
 )
 from balext.tables import existence_condition_exponents, random_table
 from balext.verify import (
-    check_rectangle_sides,
     verify_exhaustive,
     verify_prefix_balance,
     verify_sampled,
@@ -113,7 +112,8 @@ def test_c04_size_s_sufficiency():
             if not verify_exhaustive(table, 2, 2).passed:
                 continue  # antecedent false; nothing to extend
             for side in (5, 6, 7, 8):
-                assert check_rectangle_sides(table, side, side, 2), (seed, side)
+                assert naive_balance_oracle(table, 2, 2, (side, side)), (seed, side)
+            assert verify_exhaustive(table, 3, 2).passed, seed
 
 
 def test_c05_probabilistic_construction_sampled():

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from balext import cli, extract
-from balext.cli import main
+from balext.cli import build_parser, main
 from balext.core import TableParams
 from balext.extract import TablePolicy, build_table
 
@@ -96,24 +98,50 @@ class TestGenVerify:
         assert doc["passed"] is False and doc["witness"] is not None
 
     @pytest.mark.parametrize("backend, n_exp, seed", [
-        ("random", 6, 7), ("keyed", 40, 2**127 + 5), ("canonical", 1, 3)])
+        ("random", 6, 7), ("keyed", 40, 2**127 + 5), ("canonical", 1, None)])
     def test_gen_table_builds_through_build_table(self, tmp_path, capsys,
                                                   backend, n_exp, seed):
         # gen-table builds uncached through the one policy-to-builder map,
         # and for keyed tables --seed is the raw key
         out = tmp_path / "t.btab"
+        seed_argv = [] if seed is None else ["--seed", str(seed)]
         code, stdout, _ = run(
             capsys, "gen-table", "--n-exp", str(n_exp), "--m-exp", "2", "--s-exp", "1",
-            "--d-exp", "1", "--backend", backend, "--seed", str(seed), "--out", str(out),
+            "--d-exp", "1", "--backend", backend, *seed_argv, "--out", str(out),
         )
         assert code == 0
         want = build_table(TableParams(n_exp, 2, 1, 1),
-                           TablePolicy(backend, seed=seed, key=seed))
+                           TablePolicy(backend, seed=seed or 0, key=seed))
         assert out.read_bytes() == want.to_bytes()
         assert stdout == f"backend={backend} digest={want.digest()}\n"
-        assert want.seed_or_key == (seed if backend != "canonical" else 0)
+        assert want.seed_or_key == (seed or 0)
         assert extract._table_cache == {}
         assert not {"random_table", "keyed_table", "canonical_table"} & set(vars(cli))
+
+    def test_canonical_refuses_seed(self, tmp_path, capsys):
+        # the canonical search takes no seed, so a --seed would be ignored
+        out = tmp_path / "t.btab"
+        code, stdout, err = run(
+            capsys, "gen-table", "--n-exp", "1", "--m-exp", "2", "--s-exp", "1",
+            "--d-exp", "0", "--backend", "canonical", "--seed", "0", "--out", str(out),
+        )
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err == "error: invalid-params: --seed does not apply to --backend canonical\n"
+
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_exhaustive_refuses_sampling_flags(self, tmp_path, capsys, flag):
+        # exhaustive mode draws nothing, so either flag would be ignored
+        out, report = tmp_path / "t.btab", tmp_path / "r.json"
+        run(
+            capsys, "gen-table", "--n-exp", "3", "--m-exp", "2", "--s-exp", "2",
+            "--d-exp", "2", "--backend", "random", "--seed", "3", "--out", str(out),
+        )
+        code, stdout, err = run(
+            capsys, "verify-table", "--table", str(out), flag, "5", "--report", str(report),
+        )
+        assert code == 1 and stdout == "" and not report.exists()
+        assert err == ("error: invalid-params: --samples and --seed apply to "
+                       "sampled mode only\n")
 
     def test_sampled_threads_identical(self, tmp_path, capsys):
         out = tmp_path / "t.btab"
@@ -575,6 +603,159 @@ class TestHelp:
         assert "--" in out and "usage" in out.lower()
 
 
+# Every optional flag of every subcommand, case by case: the argv it is added
+# to, two valid settings (an empty one leaves the flag out), and what the
+# pair must give.  "differ": output bytes (stdout and the files written)
+# that differ; "refused": exit 1 with one invalid-params line each time;
+# "same": identical bytes.  "ignored" also asks for identical bytes, and is
+# allowed only for the flags in _IGNORED.  In argv, {in} is the input
+# directory and {out} the output directory.
+_GEN = ["gen-table", "--n-exp", "3", "--m-exp", "2", "--s-exp", "2", "--d-exp", "1",
+        "--out", "{out}/t"]
+_CANONICAL = ["gen-table", "--n-exp", "1", "--m-exp", "2", "--s-exp", "1",
+              "--d-exp", "0", "--backend", "canonical", "--out", "{out}/t"]
+_EXHAUSTIVE = ["verify-table", "--table", "{in}/t3"]
+_SAMPLED = ["verify-table", "--table", "{in}/t3", "--mode", "sampled", "--s-exp", "1",
+            "--d-exp", "2", "--samples", "16"]
+_EXTRACT = ["extract", "--x", "{in}/x", "--y", "{in}/y", "--sigma", "1/2",
+            "--alpha", "1/8", "--out", "{out}/z"]
+_COND = ["extract-cond", "--x", "{in}/x", "--y", "{in}/y", "--s", "512",
+         "--alpha", "32", "--out", "{out}/z"]
+_TRANSFORM = ["transform", "--x", "{in}/x", "--y", "{in}/y", "--tau", "1/2",
+              "--delta", "1/2", "--B", "2", "--out-bits", "11", "--out", "{out}/z"]
+_EXPERIMENT = ["experiment", "--n", "12", "--sigma", "1/2", "--alpha", "1/8",
+               "--trials", "16"]
+
+
+def _pair(flag, a, b):
+    return [flag, a], [flag, b]
+
+
+_FLAG_CASES = {
+    ("gen-table", "--backend"): [("", _GEN, _pair("--backend", "random", "keyed"),
+                                  "differ")],
+    ("gen-table", "--seed"): [
+        ("random", _GEN, _pair("--seed", "0", "1"), "differ"),
+        ("keyed", _GEN + ["--backend", "keyed"], _pair("--seed", "0", "1"), "differ"),
+        ("canonical", _CANONICAL, _pair("--seed", "0", "1"), "refused"),
+    ],
+    ("verify-table", "--mode"): [
+        ("", _EXHAUSTIVE, _pair("--mode", "exhaustive", "sampled"), "differ")],
+    ("verify-table", "--samples"): [
+        ("sampled", _SAMPLED[:-2], _pair("--samples", "16", "17"), "differ"),
+        ("exhaustive", _EXHAUSTIVE, _pair("--samples", "16", "17"), "refused"),
+    ],
+    ("verify-table", "--seed"): [
+        ("sampled", _SAMPLED, _pair("--seed", "0", "1"), "differ"),
+        ("exhaustive", _EXHAUSTIVE, _pair("--seed", "0", "1"), "refused"),
+    ],
+    ("verify-table", "--prefix-balance"): [
+        ("", _EXHAUSTIVE, ([], ["--prefix-balance"]), "differ")],
+    ("verify-table", "--s-exp"): [("", _EXHAUSTIVE, _pair("--s-exp", "1", "2"), "differ")],
+    ("verify-table", "--d-exp"): [("", _EXHAUSTIVE, _pair("--d-exp", "1", "2"), "differ")],
+    ("verify-table", "--report"): [
+        ("", _EXHAUSTIVE, ([], ["--report", "{out}/r.json"]), "differ")],
+    ("verify-table", "--threads"): [
+        ("sampled", _SAMPLED, _pair("--threads", "1", "3"), "same"),
+        ("exhaustive", _EXHAUSTIVE, _pair("--threads", "1", "2"), "ignored"),
+    ],
+    ("extract", "--bits"): [("", _EXTRACT, _pair("--bits", "16", "24"), "differ")],
+    ("extract", "--seed"): [("", _EXTRACT, _pair("--seed", "0", "1"), "differ")],
+    ("extract-cond", "--bits"): [("", _COND, _pair("--bits", "512", "1024"), "differ")],
+    ("extract-cond", "--seed"): [("", _COND, _pair("--seed", "0", "1"), "differ")],
+    ("transform", "--seed"): [("", _TRANSFORM, _pair("--seed", "0", "1"), "differ")],
+    ("experiment", "--seed"): [("", _EXPERIMENT, _pair("--seed", "0", "1"), "differ")],
+    ("experiment", "--csv"): [("", _EXPERIMENT, ([], ["--csv", "{out}/e.csv"]), "differ")],
+    ("experiment", "--summary"): [
+        ("", _EXPERIMENT, ([], ["--summary", "{out}/e.json"]), "differ")],
+    ("experiment", "--threads"): [("", _EXPERIMENT, _pair("--threads", "1", "2"),
+                                   "ignored")],
+}
+
+# Flags accepted and ignored, each until ROADMAP item 5 lets the benchmark
+# drop them: its workloads pass them.
+_IGNORED = {
+    ("verify-table", "--threads", "exhaustive"): "ROADMAP item 5: bench passes it",
+    ("experiment", "--threads", ""): "ROADMAP item 5: bench passes it",
+}
+
+
+def _flag_dirs(tmp_path, capsys) -> dict:
+    """{in} and {out} of the flag cases: inputs x and y of 1024 bits and t3,
+    a random 8 x 8 table with 4 colors, and an empty output directory."""
+    inp, out = tmp_path / "in", tmp_path / "out"
+    inp.mkdir()
+    out.mkdir()
+    (inp / "x").write_bytes(bytes(range(7, 135)))
+    (inp / "y").write_bytes(bytes(range(128))[::-1])
+    assert run(capsys, *_GEN[:-1], str(inp / "t3"), "--seed", "5")[0] == 0
+    return {"in": inp, "out": out}
+
+
+def _optional_flags():
+    """(subcommand, flag) for every optional flag of every subcommand."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [pytest.param(cmd, a.option_strings[0], id=cmd + a.option_strings[0])
+            for cmd, p in sub.choices.items() for a in p._actions
+            if a.option_strings and a.dest != "help" and not a.required]
+
+
+class TestFlagGuard:
+    @pytest.mark.parametrize("cmd, flag", _optional_flags())
+    def test_no_flag_is_accepted_and_ignored(self, tmp_path, capsys, cmd, flag):
+        assert (cmd, flag) in _FLAG_CASES, "every optional flag needs a case"
+        dirs = _flag_dirs(tmp_path, capsys)
+        out = dirs["out"]
+        for context, base, pair, expected in _FLAG_CASES[cmd, flag]:
+            seen = []
+            for setting in pair:
+                shutil.rmtree(out)
+                out.mkdir()
+                argv = [a.format(**dirs) for a in base + setting]
+                code, stdout, err = run(capsys, *argv)
+                files = b"".join(p.name.encode() + p.read_bytes()
+                                 for p in sorted(out.iterdir()))
+                seen.append((code, err, stdout.encode() + files))
+            if expected == "refused":
+                for code, err, _ in seen:
+                    assert code == 1 and err.startswith("error: invalid-params:"), context
+                    assert err.count("\n") == 1, context
+                continue
+            assert all(code in (0, 2) and "invalid-params" not in err
+                       for code, err, _ in seen), (context, seen)
+            if expected == "differ":
+                assert seen[0][2] != seen[1][2], context
+            else:
+                assert expected == "same" or (cmd, flag, context) in _IGNORED
+                assert seen[0][2] == seen[1][2], context
+
+
+class TestSeeds:
+    """Every 64-bit --seed outside [0, 2^64) is refused, not reduced mod
+    2^64; gen-table's keyed backend takes a raw 128-bit key instead."""
+
+    CASES = {
+        "gen-table": _GEN + ["--backend", "random"],
+        "verify-table": _SAMPLED,
+        "extract": _EXTRACT,
+        "extract-cond": _COND,
+        "transform": _TRANSFORM,
+        "experiment": _EXPERIMENT,
+    }
+
+    @pytest.mark.parametrize("cmd", sorted(CASES))
+    def test_seeds_beyond_64_bits_refused(self, tmp_path, capsys, cmd):
+        dirs = _flag_dirs(tmp_path, capsys)
+        base = [a.format(**dirs) for a in self.CASES[cmd]]
+        assert run(capsys, *base, "--seed", "0xffffffffffffffff")[0] in (0, 2)
+        for seed in ("0x10000000000000000", "-18446744073709551616", "-1"):
+            code, stdout, err = run(capsys, *base, "--seed", seed)
+            assert code == 1 and stdout == "", seed
+            assert err.startswith("error: invalid-params: --seed must lie in [0, 2^64)")
+            assert err.count("\n") == 1
+
+
 class TestProcessStart:
     def test_import_leaves_logging_and_futures_unloaded(self):
         # both load on first use, so importing the CLI does not pay for them
@@ -630,8 +811,8 @@ def _fuzz_argv(tmp: Path):
                  {**exps, "--backend": ["random", "keyed"], "--seed": _SEEDS},
                  ["--out", out]),
         _mutated("verify-table",
-                 {"--table": table, "--mode": "exhaustive", "--samples": "16",
-                  "--seed": "0", "--threads": "1", "--prefix-balance": None},
+                 {"--table": table, "--mode": "exhaustive", "--threads": "1",
+                  "--prefix-balance": None},
                  {"--table": [table, keyed, x, str(tmp / "none")],
                   "--mode": ["exhaustive", "sampled"], "--samples": _SMALL,
                   "--seed": _SEEDS, "--s-exp": _EXPS, "--d-exp": _EXPS,

@@ -92,7 +92,7 @@ class TestTableParams:
     def test_invariants(self):
         p = TableParams(10, 4, 8, 1)
         assert (p.n_side, p.m_colors, p.s_side, p.d_divisor) == (1024, 16, 256, 2)
-        assert p.dominant_size == 8
+        assert p.m_colors // p.d_divisor == 8     # |A| = M/D
 
     @pytest.mark.parametrize(
         "bad", [(0, 1, 0, 0), (1, 0, 0, 0), (2, 2, 3, 1), (2, 2, 1, 3)]
@@ -106,7 +106,6 @@ class TestStringParams:
     def test_example_n64(self):
         p = derive_string_params(64, F(1, 2), F(1, 8))
         assert (p.m_exp, p.s_exp, p.d_exp) == (58, 32, 56)
-        assert not p.guarantee_degenerate
         # size-domination invariants
         assert p.s_exp <= p.n and p.d_exp <= p.m_exp
 
@@ -120,8 +119,7 @@ class TestStringParams:
 
     def test_degenerate_small_n_allowed_nonstrict(self):
         p = derive_string_params(12, F(1, 2), F(1, 8), strict=False)
-        assert (p.m_exp, p.s_exp, p.d_exp) == (8, 6, 34)
-        assert p.guarantee_degenerate
+        assert (p.m_exp, p.s_exp, p.d_exp) == (8, 6, 34)     # d_exp >= m_exp
         tp = p.table_params()
         assert tp.d_exp == tp.m_exp == 8
 
@@ -149,7 +147,7 @@ class TestStringParams:
 class TestCondParams:
     def test_example_n1024(self):
         p = derive_cond_params(1024, 512, 64)
-        assert (p.m_exp, p.s_exp, p.guarantee_slack) == (186, 256, 174)
+        assert (p.m_exp, p.s_exp) == (186, 256)
         assert p.d_exp == p.m_exp
 
     def test_example_boundary(self):
@@ -183,8 +181,7 @@ class TestSeqSchedule:
 
     def test_vacuous_rate_accepted(self):
         s = derive_seq_schedule(F(1), F(4), 2, 2)
-        assert s.epsilon == 1
-        assert s.rate_vacuous
+        assert s.epsilon == 1     # delta >= 1: the target rate is vacuous
 
     def test_block_params_and_monotonicity(self):
         s = derive_seq_schedule(F(1, 2), F(1, 2), 2, 8)

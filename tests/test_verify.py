@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from balext.verify import (
     _check_counts,
     _colorset,
     _Rule,
-    check_rectangle_sides,
     verify_exhaustive,
     verify_prefix_balance,
     verify_sampled,
@@ -97,6 +97,16 @@ def count_arrays(draw):
     return m_exp, d_exp, area, rows.tolist()
 
 
+class _AreaRule(NamedTuple):
+    """The fields of a rule that the core reads, at any area: S x S
+    rectangles have square areas only."""
+
+    m_exp: int
+    d_exp: int
+    prefix: bool
+    area: int
+
+
 def _check_core(m_exp, d_exp, area, rows, prefix):
     """The core's worst ratio, first violating row and offending colors on
     dense and ranked labels, from contiguous (U, K) counts and from a
@@ -111,7 +121,7 @@ def _check_core(m_exp, d_exp, area, rows, prefix):
                     for r in rows]
     worst = max(ratio for ratio, _ in expected)
     first = next((k for k, (_, bad) in enumerate(expected) if bad), None)
-    rule = _Rule(m_exp, d_exp, prefix, area, 1)
+    rule = _AreaRule(m_exp, d_exp, prefix, area)
     counts = np.array(rows, dtype=np.int64)
     present = np.flatnonzero(counts.any(axis=0))
     for labels, ranked in ((np.arange(m_colors), False), (present, True)):
@@ -185,6 +195,16 @@ class TestExhaustive:
         with pytest.raises(TooLarge):
             verify_exhaustive(t, 5, 1)
 
+    def test_enum_cap_is_inclusive(self, monkeypatch):
+        # C(8, 4)^2 = 4900 rectangles: a cap of exactly 4900 enumerates
+        # them, a cap one lower refuses them
+        t = random_table(TableParams(3, 2, 2, 1), 0)
+        monkeypatch.setattr(verify, "ENUM_CAP", 4900)
+        assert verify_exhaustive(t, 2, 1).rectangles_checked == 4900
+        monkeypatch.setattr(verify, "ENUM_CAP", 4899)
+        with pytest.raises(TooLarge):
+            verify_exhaustive(t, 2, 1)
+
     def test_single_cells_of_a_large_table(self):
         # 2^20 single-cell rectangles of a 2^10 table, chunk by chunk: each
         # holds one cell, so with D = 2 every ratio is 2 * 1 / (2 * 1) = 1
@@ -195,41 +215,45 @@ class TestExhaustive:
         assert report.worst_ratio == 1
 
     def test_chunking_keeps_reports(self, monkeypatch):
-        # at _CHUNK = 8 the cells are counted directly and each chunk holds
-        # one column subset of one row subset; at 2240 they are counted by
-        # rows, and the row subsets of the 4 x 4 rectangles span 9 chunks.
-        # Witnesses must stay first in rows-major order either way
+        # at _CHUNK = 8 the cells are counted directly: each chunk of the
+        # 4 x 4 and 8 x 8 rectangles holds one column subset of one row
+        # subset, and each chunk of the 2 x 2 ones two column subsets; at
+        # 2240 they are counted by rows, and the row subsets of the 4 x 4
+        # rectangles span 9 chunks.  Witnesses must stay first in
+        # rows-major order either way
         tables = [constant_table()] + [random_table(TableParams(3, 2, 2, 1), s)
                                        for s in range(4)]
-        sides = ((4, 4), (3, 5), (8, 2))
 
         def reports():
             verify._enumeration.cache_clear()
             out = []
             for t in tables:
-                out += [verify_exhaustive(t, 2, d).to_json() for d in (1, 2)]
+                out += [verify_exhaustive(t, s, d).to_json()
+                        for s in (1, 2, 3) for d in (1, 2)]
                 out.append(verify_prefix_balance(t, 1).to_json())
-                out += [check_rectangle_sides(t, r, c, 2) for r, c in sides[1:]]
             return out
 
-        def chunks(rows, cols):
-            rule = _Rule(2, 1, False, rows, cols)
-            e = verify._enumeration(8, rows, cols, 4)
+        def chunks(side):
+            e = verify._enumeration(8, side, 4)
+            rule = _Rule(2, 1, False, side)
             return e, sum(1 for _ in verify._exhaustive(tables[1], rule))
 
         want = reports()
         try:
             monkeypatch.setattr(verify, "_CHUNK", 8)
             assert reports() == want
-            for rows, cols in sides:
-                e, n = chunks(rows, cols)
+            for side in (4, 8):
+                e, n = chunks(side)
                 assert not e.by_row
-                assert n == len(e.row_index) * len(e.col_index)
+                assert n == len(e.index) ** 2
+            e, n = chunks(2)
+            assert not e.by_row and (e.n_rows, e.n_cols) == (1, 2)
+            assert n == len(e.index) ** 2 // 2
             monkeypatch.setattr(verify, "_CHUNK", 2240)
             assert reports() == want
-            e, n = chunks(4, 4)
-            assert e.by_row and 4 * 8 * len(e.col_index) == 2240
-            assert n == 9 and e.n_rows * n >= len(e.row_index) > e.n_rows * (n - 1)
+            e, n = chunks(4)
+            assert e.by_row and 4 * 8 * len(e.index) == 2240
+            assert n == 9 and e.n_rows * n >= len(e.index) > e.n_rows * (n - 1)
         finally:
             verify._enumeration.cache_clear()
 
@@ -266,7 +290,7 @@ class TestExhaustive:
             assert verify_exhaustive(t, 2, 2).passed
             for rows_side in (4, 5, 6, 7, 8):
                 for cols_side in (4, 6, 8):
-                    assert check_rectangle_sides(t, rows_side, cols_side, 2), (
+                    assert naive_balance_oracle(t, 2, 2, (rows_side, cols_side)), (
                         seed, rows_side, cols_side,
                     )
 
@@ -373,6 +397,43 @@ class TestSampled:
         with pytest.raises(TooLarge):
             verify_sampled(t, 13, 3, 1, seed=0)
 
+    def test_area_cap_is_inclusive(self, monkeypatch):
+        # 4 x 4 rectangles: a cap of exactly 16 cells samples them, a cap
+        # one lower refuses them
+        t = random_table(TableParams(3, 2, 2, 1), 0)
+        monkeypatch.setattr(verify, "_MAX_AREA", 16)
+        assert verify_sampled(t, 2, 1, 5, seed=0).rectangles_checked == 5
+        monkeypatch.setattr(verify, "_MAX_AREA", 15)
+        with pytest.raises(TooLarge):
+            verify_sampled(t, 2, 1, 5, seed=0)
+
+    @pytest.mark.parametrize("table_seed, seed, samples, first", [
+        (2, 3, 101, 81),    # in a later batch of the last worker at threads 2 and 3
+        (3, 0, 91, 91),     # just past the last sample
+    ])
+    def test_reports_across_draw_batches(self, monkeypatch, table_seed, seed, samples,
+                                         first):
+        # at _CHUNK = 64 a worker draws its 8 x 8 rectangles in batches of
+        # 8.  Reports at threads 1-3, over a sample count that no thread
+        # count divides, must equal one drawn in a single batch, and the
+        # witness is the first violating sample, drawn from streams 2j and
+        # 2j + 1 of the seed
+        t = random_table(TableParams(6, 3, 3, 3), table_seed)
+
+        def report(threads, n=samples):
+            return json.loads(verify_sampled(t, 3, 3, n, seed=seed, threads=threads)
+                              .to_json())
+
+        monkeypatch.setattr(verify, "_CHUNK", 1 << 20)
+        want = report(1)
+        monkeypatch.setattr(verify, "_CHUNK", 64)
+        assert report(1) == report(2) == report(3) == want
+        assert (want["witness"] is None) == (first >= samples)
+        witness = report(1, max(samples, first + 1))["witness"]
+        assert witness["rows"] == partial_shuffle_oracle(stream_value(seed, 2 * first), 64, 8)
+        assert witness["cols"] == partial_shuffle_oracle(stream_value(seed, 2 * first + 1),
+                                                         64, 8)
+
     def test_keyed_memory_is_independent_of_n(self):
         # a samples x N draw array would be 400 MB here
         t = keyed_table(TableParams(20, 8, 8, 3), key=key_from_seed(3))
@@ -397,11 +458,6 @@ class TestParameterChecks:
     """Every verifier refuses out-of-range sides and exponents with
     InvalidParams instead of passing vacuously or crashing."""
 
-    @pytest.mark.parametrize("sides", [(9, 9), (0, 0), (4, 9), (0, 4)])
-    def test_rectangle_sides_outside_table(self, sides):
-        with pytest.raises(InvalidParams):
-            check_rectangle_sides(structured_table(0), *sides, 2)
-
     @pytest.mark.parametrize("s_exp", [-1, 4])
     def test_s_exp_outside_table(self, s_exp):
         t = constant_table()
@@ -415,8 +471,14 @@ class TestParameterChecks:
                 verify()
 
     def test_d_exp_outside_colors(self):
-        with pytest.raises(InvalidParams):
-            check_rectangle_sides(constant_table(), 4, 4, 3)
+        t = constant_table()
+        for d_exp in (-1, 3):
+            for verify in (
+                lambda: verify_exhaustive(t, 2, d_exp),
+                lambda: verify_sampled(t, 2, d_exp, 10, seed=0),
+            ):
+                with pytest.raises(InvalidParams):
+                    verify()
 
 
 class TestPrefixBalance:
