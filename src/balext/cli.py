@@ -7,6 +7,10 @@ first; an optional --bits flag truncates the trailing bits of the last
 byte.  Exit codes: 0 success, 1 invalid parameters, 2 verification
 failure, 3 I/O errors.  Errors print one machine-parsable line to stderr:
 ``error: <code>: <detail>``.
+
+A line that starts with a subcommand is parsed once, by that subcommand's
+own parser; any other line goes to the top-level parser, which refuses it
+or prints help.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .core import (
     TooLarge,
     derive_seq_schedule,
     parse_fraction,
+    seed64,
 )
 from .extract import TablePolicy, build_table, extract_conditional, extract_string
 from .seqtransform import BitStringStream, SequenceTransformer
@@ -73,11 +78,7 @@ def _int_auto(text: str) -> int:
 
 
 def _seed64(seed: int) -> int:
-    """``seed`` if it is a 64-bit seed; any other value is refused, not
-    reduced mod 2^64."""
-    if not 0 <= seed < 1 << 64:
-        raise InvalidParams(f"--seed must lie in [0, 2^64), got {seed}")
-    return seed
+    return seed64(seed, "--seed")
 
 
 def _cmd_gen_table(args) -> int:
@@ -102,6 +103,8 @@ def _cmd_verify_table(args) -> int:
         raise InvalidParams("--d-exp does not apply to --prefix-balance (D = M)")
     if args.mode == "exhaustive" and (args.samples, args.seed) != (None, None):
         raise InvalidParams("--samples and --seed apply to sampled mode only")
+    if args.mode == "exhaustive" and args.threads < 1:
+        raise InvalidParams("need threads >= 1")
     samples = 1000 if args.samples is None else args.samples
     seed = _seed64(0 if args.seed is None else args.seed)
     try:
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the table's stored d_exp; not with --prefix-balance")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; applies to sampled mode only")
+                   help="worker threads, must be >= 1; applies to sampled mode only")
     p.set_defaults(fn=_cmd_verify_table)
 
     p = sub.add_parser(
@@ -316,8 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        ap = build_parser()
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        own = sub.choices.get(argv[0]) if argv else None
+        args = own.parse_args(argv[1:]) if own else ap.parse_args(argv)
         return args.fn(args)
     except _CliError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)

@@ -41,6 +41,14 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def seed64(seed: int, name: str = "seed") -> int:
+    """``seed`` if it lies in [0, 2^64); any other value is refused, not
+    reduced mod 2^64."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidParams(f"{name} must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def round_half_up(x: Fraction) -> int:
     """Exact round-half-up of a rational (0.5 rounds to 1)."""
     return math.floor(x + Fraction(1, 2))

@@ -14,10 +14,11 @@ Stream splitting: the k-th output of a stream (``stream_value``) may itself
 be used as the state of a child stream (``substream``).  Consumers document
 which tags they reserve, so no two consumers ever draw from the same stream.
 
-No other module does stream-index arithmetic: in numpy they draw through
-``stream_values_np``, ``stream_value`` broadcast over states and indices,
-or add ``stream_steps``, the (k + 1) * GAMMA of output k, to their states
-before an in-place :func:`scramble_inplace`.
+No other module does stream-index arithmetic.  The scalar per-word loops
+are :func:`absorb` and :func:`stream_words`, the finalizer inlined.  In
+numpy they draw through ``stream_values_np``, ``stream_value`` broadcast
+over states and indices, or add ``stream_steps``, the (k + 1) * GAMMA of
+output k, to their states before an in-place :func:`scramble_inplace`.
 
 Bounded draws are a multiply-high, as in Lemire, *Fast random integer
 generation in an interval* (arXiv:1805.10941): the draw ``bounded(u, n)``
@@ -29,6 +30,8 @@ partial product within 64 bits.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
@@ -59,6 +62,27 @@ def substream(state: int, tag: int) -> int:
     return stream_value(state, tag)
 
 
+def absorb(h: int, words) -> int:
+    """``h = stream_value(h ^ word, 0)`` for each word in turn."""
+    for word in words:
+        z = ((h ^ word) + GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * _MUL1) & MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & MASK64
+        h = z ^ (z >> 31)
+    return h
+
+
+def stream_words(state: int, count: int) -> list[int]:
+    """Outputs 0..count-1 of the stream rooted at ``state``."""
+    out = []
+    for _ in range(count):
+        state = (state + GAMMA) & MASK64
+        z = ((state ^ (state >> 30)) * _MUL1) & MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def stream_bits(state: int, count: int) -> int:
     """First ``count`` bits of the stream, MSB-first, packed into an int.
 
@@ -70,7 +94,7 @@ def stream_bits(state: int, count: int) -> int:
     if count <= 64:
         return stream_value(state, 0) >> (64 - count)
     words = (count + 63) // 64
-    data = b"".join([stream_value(state, k).to_bytes(8, "big") for k in range(words)])
+    data = struct.pack(f">{words}Q", *stream_words(state, words))
     return int.from_bytes(data, "big") >> (64 * words - count)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import weakref
 from typing import Protocol
 
-from .core import BitString, InvalidParams, OutOfRange, SeqSchedule
+from .core import BitString, InvalidParams, OutOfRange, SeqSchedule, seed64
 from .extract import TablePolicy, table_for
 from .mixing import stream_bits, stream_value
 from .tables import BalancedTable
@@ -122,7 +122,7 @@ def block_table(
     if policy.kind != "auto" or policy.key is not None:
         raise InvalidParams(f"block tables take kind 'auto' and no key, not {policy}")
     params = schedule.block(i).table_params()
-    seed = block_seed(policy.seed, i)
+    seed = block_seed(seed64(policy.seed), i)
     table = table_for(params, TablePolicy(seed=seed))
     if table.is_explicit and table not in _checked_tables:
         _checked_tables.add(table)

@@ -37,6 +37,7 @@ from .core import (
     ceil_log2,
     derive_string_params,
     round_half_up,
+    seed64,
 )
 from .extract import TablePolicy, table_for
 from .mixing import stream_bits, stream_block_np, stream_values_np, substream
@@ -66,6 +67,7 @@ class PlantedPairSpec:
             raise InvalidParams("need 0 <= alpha <= sigma <= 1")
         if self.n < 1:
             raise InvalidParams("need n >= 1")
+        seed64(self.seed)
 
     @property
     def shared_bits(self) -> int:

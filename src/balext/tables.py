@@ -65,14 +65,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvalidParams, NotFound, OutOfRange, TableParams, TooLarge
+from .core import InvalidParams, NotFound, OutOfRange, TableParams, TooLarge, seed64
 from .mixing import (
     MASK64,
+    absorb,
     scramble,
     scramble_inplace,
     stream_steps,
     stream_value,
     stream_values_np,
+    stream_words,
 )
 
 MAGIC = b"BTAB"
@@ -198,22 +200,19 @@ def keyed_color(key: int, n_exp: int, m_exp: int, row: int, col: int) -> int:
     low m_exp bits of the state's output stream (64-bit outputs
     ``stream_value(h, t)`` concatenated low-word-first).
 
-    The cost is linear in n_exp + m_exp: the row and column are split into
-    words once, and the output words are joined once.
+    The cost is linear in n_exp + m_exp, one loop step per word: the row
+    and column are split into words once, and the output words are joined
+    once.
     """
     words = (n_exp + 63) // 64
-    h = _keyed_state_through_key(key, n_exp, m_exp)
-    for word in _words(row, words) + (key >> 64,) + _words(col, words):
-        h = stream_value(h ^ word, 0)
-    out_words = (m_exp + 63) // 64
-    color = struct.pack(f"<{out_words}Q", *(stream_value(h, t) for t in range(out_words)))
-    return int.from_bytes(color, "little") & ((1 << m_exp) - 1)
+    h = absorb(_keyed_state_through_key(key, n_exp, m_exp),
+               _words(row, words) + (key >> 64,) + _words(col, words))
+    out = stream_words(h, (m_exp + 63) // 64)
+    return int.from_bytes(struct.pack(f"<{len(out)}Q", *out), "little") & ((1 << m_exp) - 1)
 
 
 def _keyed_state_through_key(key: int, n_exp: int, m_exp: int) -> int:
-    h = stream_value(key & MASK64, 0)
-    h = stream_value(h ^ n_exp, 0)
-    return stream_value(h ^ m_exp, 0)
+    return absorb(0, (key & MASK64, n_exp, m_exp))
 
 
 def keyed_colors_grid(
@@ -516,7 +515,7 @@ def random_table(params: TableParams, seed: int) -> BalancedTable:
                        f"{EXPLICIT_N_EXP_CAP}")
     if params.m_exp > EXPLICIT_M_EXP_CAP:
         raise TooLarge(f"m_exp = {params.m_exp} exceeds explicit color storage (16)")
-    formula = BalancedTable(params, BACKEND_RANDOM, seed & MASK64, None)
+    formula = BalancedTable(params, BACKEND_RANDOM, seed64(seed), None)
     if params.n_side ** 2 > _SERIAL_FILL_CELLS:
         return formula
     side = np.arange(params.n_side)
@@ -564,5 +563,4 @@ def canonical_table(params: TableParams) -> BalancedTable:
 
 def key_from_seed(seed: int) -> int:
     """Expand a 64-bit seed into the 128-bit key (seed, scramble(seed))."""
-    seed &= MASK64
-    return seed | (scramble(seed) << 64)
+    return seed64(seed) | (scramble(seed) << 64)

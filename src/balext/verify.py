@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import InvalidParams, TableParams, TooLarge
+from .core import InvalidParams, TableParams, TooLarge, seed64
 from .mixing import partial_shuffle_batch, stream_block_np
 from .tables import EXPLICIT_N_EXP_CAP, BalancedTable, keyed_colors_grid
 
@@ -460,6 +460,7 @@ def _run_sampled(table: BalancedTable, rule: _Rule, samples: int, seed: int,
     ``threads``."""
     if samples < 1:
         raise InvalidParams("need samples >= 1")
+    seed64(seed)
     if threads < 1:
         raise InvalidParams("need threads >= 1")
     if rule.area > _MAX_AREA:

@@ -236,6 +236,26 @@ class TestGenVerify:
         assert code == 1 and stdout == ""
         assert err.startswith("error: invalid-params:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--threads", "0"],
+        ["--mode", "exhaustive", "--threads", "-2"],
+        ["--prefix-balance", "--threads", "0"],
+    ])
+    def test_exhaustive_threads_below_one_refused(self, tmp_path, capsys, argv):
+        # refused before the table is read: the path does not exist
+        missing = str(tmp_path / "none.btab")
+        code, stdout, err = run(capsys, "verify-table", "--table", missing, *argv)
+        assert (code, stdout, err) == (1, "", "error: invalid-params: need threads >= 1\n")
+        # the line sampled mode gives
+        out = tmp_path / "t.btab"
+        run(
+            capsys, "gen-table", "--n-exp", "3", "--m-exp", "2", "--s-exp", "2",
+            "--d-exp", "2", "--backend", "random", "--seed", "3", "--out", str(out),
+        )
+        sampled = run(capsys, "verify-table", "--table", str(out), "--mode", "sampled",
+                      "--threads", "0")
+        assert sampled == (code, stdout, err)
+
     def test_truncated_table_is_one_line_error(self, tmp_path, capsys):
         out = tmp_path / "short.btab"
         out.write_bytes(b"BTAB\x01")
@@ -394,11 +414,48 @@ class TestFlagValues:
         (["check-condition", "--n-exp", "3", "--m-exp", "2", "--s-exp", "2",
           "--d-exp", "1", "--bogus"], "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: command"),
+        (["bogus", "--n", "1"], "argument command: invalid choice: 'bogus' (choose from "
+         "'gen-table', 'verify-table', 'check-condition', 'extract', 'extract-cond', "
+         "'transform', 'experiment')"),
+        (["--seed", "1", "gen-table"], "argument command: invalid choice: '1' (choose "
+         "from 'gen-table', 'verify-table', 'check-condition', 'extract', "
+         "'extract-cond', 'transform', 'experiment')"),
+        (["-x", "check-condition", "--n-exp", "3", "--m-exp", "2", "--s-exp", "2",
+          "--d-exp", "1"], "unrecognized arguments: -x"),
     ])
     def test_argparse_refusal_is_one_line_error(self, capsys, argv, detail):
         code, stdout, err = run(capsys, *argv)
         assert code == 1 and stdout == ""
         assert err == f"error: invalid-params: {detail}\n"
+
+    def test_own_parser_namespace_equals_top_level(self):
+        # main parses a line that starts with a subcommand with that
+        # subcommand's parser alone; the top-level parser adds only "command"
+        top = build_parser()
+        sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+        dirs = {"in": "in", "out": "out"}
+        for (cmd, flag), cases in _FLAG_CASES.items():
+            for context, base, pair, _ in cases:
+                for setting in pair:
+                    argv = [a.format(**dirs) for a in base + setting]
+                    want = vars(top.parse_args(argv))
+                    assert want.pop("command") == argv[0]
+                    got = vars(sub.choices[argv[0]].parse_args(argv[1:]))
+                    assert got == want, (cmd, flag, context, setting)
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["check-condition", "--n-exp", "10", "--m-exp", "2", "--s-exp", "8",
+         "--d-exp", "1"],
+    ])
+    def test_module_run_equals_in_process_main(self, capsys, argv):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "balext.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
 
 
 class TestTransformCommand:

@@ -16,6 +16,7 @@ from balext.core import (
     derive_string_params,
     parse_fraction,
     round_half_up,
+    seed64,
 )
 
 
@@ -79,6 +80,16 @@ def test_ceil_log2():
     assert [ceil_log2(n) for n in (1, 2, 3, 4, 12, 64, 1000, 1024)] == [
         0, 1, 2, 2, 4, 6, 10, 10,
     ]
+
+
+def test_seed64_is_the_64_bit_range():
+    for seed in (0, 1, (1 << 64) - 1):
+        assert seed64(seed) == seed
+    for seed in (-1, 1 << 64, 1 << 128):
+        with pytest.raises(InvalidParams, match=rf"^seed must lie in \[0, 2\^64\), got {seed}$"):
+            seed64(seed)
+    with pytest.raises(InvalidParams, match=r"^--seed must lie"):
+        seed64(-1, "--seed")
 
 
 def test_round_half_up():

@@ -216,3 +216,43 @@ class TestPolicy:
     def test_explicit_key_overrides_seed(self):
         p = TablePolicy(kind="keyed", seed=5, key=123)
         assert p.effective_key() == 123
+
+
+class TestLibrarySeeds:
+    """Every 64-bit seed the library takes lies in [0, 2^64): one outside
+    is refused, not reduced mod 2^64 to the seed it aliases."""
+
+    @staticmethod
+    def calls(seed):
+        from balext.core import derive_seq_schedule
+        from balext.seqtransform import block_table
+        from balext.sources import PlantedPairSpec
+        from balext.verify import verify_prefix_balance, verify_sampled
+
+        p = TableParams(3, 2, 2, 1)
+        x, y = BitString(1, 12), BitString(1 << 11, 12)
+        held = tables.random_table(p, 5)
+        schedule = derive_seq_schedule(F(1, 2), F(1, 2), 2, 4)
+        return {
+            "random_table": lambda: tables.random_table(p, seed),
+            "key_from_seed": lambda: tables.key_from_seed(seed),
+            "extract_string": lambda: extract_string(
+                x, y, F(1, 2), F(1, 8), TablePolicy(seed=seed)),
+            "extract_string keyed": lambda: extract_string(
+                x, y, F(1, 2), F(1, 8), TablePolicy(kind="keyed", seed=seed)),
+            "verify_sampled": lambda: verify_sampled(held, 2, 1, 10, seed),
+            "verify_prefix_balance": lambda: verify_prefix_balance(
+                held, 2, mode="sampled", samples=10, seed=seed),
+            "PlantedPairSpec": lambda: PlantedPairSpec(12, F(1, 2), F(1, 8), seed),
+            "block_table": lambda: block_table(schedule, 2, TablePolicy(seed=seed)),
+        }
+
+    @pytest.mark.parametrize("seed", [1 << 64, (1 << 64) + 7, -1, 1 << 128])
+    def test_seed_outside_64_bits_refused(self, seed):
+        for name, call in self.calls(seed).items():
+            with pytest.raises(InvalidParams, match=r"seed must lie in \[0, 2\^64\)"):
+                call()
+
+    def test_top_seed_accepted(self):
+        for name, call in self.calls((1 << 64) - 1).items():
+            call()

@@ -7,6 +7,7 @@ from balext.core import TooLarge
 from balext.mixing import (
     GAMMA,
     MASK64,
+    absorb,
     partial_shuffle_batch,
     scramble,
     scramble_inplace,
@@ -16,6 +17,7 @@ from balext.mixing import (
     stream_steps,
     stream_value,
     stream_values_np,
+    stream_words,
     substream,
 )
 
@@ -116,6 +118,23 @@ def test_bounded_is_multiply_high(u):
     for n in (1 << 32, (1 << 40) + 3, 1 << 64):
         assert bounded(u, n) == (u * n) >> 64
     assert bounded(MASK64, 1 << 64) == MASK64
+
+
+@given(U64, st.lists(U64, max_size=8))
+def test_absorb_is_a_stream_value_chain(h, words):
+    for state in (h, 0, MASK64):
+        for ws in (words, words + [0, MASK64], []):
+            want = state
+            for word in ws:
+                want = stream_value(want ^ word, 0)
+            assert absorb(state, ws) == absorb(state, tuple(ws)) == want
+
+
+@given(U64, st.integers(min_value=0, max_value=40))
+def test_stream_words_are_the_first_outputs(state, count):
+    for s in (state, 0, MASK64):
+        assert stream_words(s, count) == [stream_value(s, t) for t in range(count)]
+        assert stream_words(s, 0) == []
 
 
 def test_stream_bits_msb_first():

@@ -390,7 +390,7 @@ class TestBatchedTrials:
         for table in tables:
             for sigma in (F(1, 2), F(1)):
                 for alpha in (F(0), sigma):
-                    spec = PlantedPairSpec(n, sigma, alpha, seed=-5)
+                    spec = PlantedPairSpec(n, sigma, alpha, seed=2**64 - 5)
                     args = (spec, table, 150)
                     assert sources._experiment_chunk(*args) == experiment_chunk_oracle(*args)
 
@@ -430,6 +430,6 @@ class TestBatchedTrials:
 
         for sigma in (F(1, 2), F(1)):
             for alpha in (F(0), sigma):
-                spec = PlantedPairSpec(n, sigma, alpha, seed=n + 2**64)
+                spec = PlantedPairSpec(n, sigma, alpha, seed=n)
                 assert report_bytes(spec, batched) == report_bytes(
                     spec, experiment_chunk_oracle), (sigma, alpha)

@@ -354,7 +354,7 @@ class TestKeyedTable:
             keyed_table(TableParams(4, 2, 2, 1), key=1 << 128)
 
     @pytest.mark.parametrize("n_exp", [1, 63, 64, 65, 128, 4096, 32768])
-    @pytest.mark.parametrize("m_exp", [1, 63, 64, 65, 15892])
+    @pytest.mark.parametrize("m_exp", [1, 63, 64, 65, 130, 15892])
     @settings(max_examples=6, deadline=None)
     @given(data=st.data())
     def test_matches_per_word_oracle(self, n_exp, m_exp, data):

@@ -470,6 +470,20 @@ class TestParameterChecks:
             with pytest.raises(InvalidParams):
                 verify()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lower_bounds_are_inclusive(self, seed):
+        # S = 1 (one cell per rectangle) and D = 1 (every color) are in range,
+        # and sampled rectangles agree with the oracle there: at D = 1 every
+        # rectangle passes, and at S = 1 every cell gives the ratio D / 2
+        t = random_table(TableParams(2, 2, 1, 1), seed)
+        for s_exp, d_exp in ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0)):
+            want = naive_balance_oracle(t, s_exp, d_exp)
+            exhaustive = verify_exhaustive(t, s_exp, d_exp)
+            sampled = verify_sampled(t, s_exp, d_exp, 20, seed)
+            assert exhaustive.passed == sampled.passed == want, (s_exp, d_exp)
+            if s_exp == 0:
+                assert exhaustive.worst_ratio == sampled.worst_ratio == Fraction(1 << d_exp, 2)
+
     def test_d_exp_outside_colors(self):
         t = constant_table()
         for d_exp in (-1, 3):
