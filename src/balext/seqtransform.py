@@ -55,7 +55,7 @@ class SeededBitStream:
     seed stream's output p//64."""
 
     def __init__(self, seed: int):
-        self.seed = seed
+        self.seed = seed64(seed)
 
     def prefix(self, count: int) -> BitString:
         if count < 0:

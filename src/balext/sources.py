@@ -90,7 +90,7 @@ def gen_planted_pair(
     r1, r2, and the shared block respectively.  A given ``seed`` replaces
     the spec's: the pair of that seed at the spec's shape."""
     n_shared, n_random = _bit_counts(spec.n, spec.sigma, spec.alpha)
-    seed = spec.seed if seed is None else seed
+    seed = spec.seed if seed is None else seed64(seed)
     n_free = n_random - n_shared
     pad = spec.n - n_random
     shared = stream_bits(substream(seed, 3), n_shared)

@@ -225,8 +225,8 @@ class TestLibrarySeeds:
     @staticmethod
     def calls(seed):
         from balext.core import derive_seq_schedule
-        from balext.seqtransform import block_table
-        from balext.sources import PlantedPairSpec
+        from balext.seqtransform import SeededBitStream, block_table
+        from balext.sources import PlantedPairSpec, gen_planted_pair
         from balext.verify import verify_prefix_balance, verify_sampled
 
         p = TableParams(3, 2, 2, 1)
@@ -244,6 +244,9 @@ class TestLibrarySeeds:
             "verify_prefix_balance": lambda: verify_prefix_balance(
                 held, 2, mode="sampled", samples=10, seed=seed),
             "PlantedPairSpec": lambda: PlantedPairSpec(12, F(1, 2), F(1, 8), seed),
+            "gen_planted_pair": lambda: gen_planted_pair(
+                PlantedPairSpec(100, F(1, 2), F(1, 8), 0), seed=seed),
+            "SeededBitStream": lambda: SeededBitStream(seed),
             "block_table": lambda: block_table(schedule, 2, TablePolicy(seed=seed)),
         }
 
