@@ -4,12 +4,10 @@ stream extraction, planted-dependency experiments."""
 
 from .core import (
     BitString,
-    CondExtractParams,
     InvalidParams,
     NotFound,
     OutOfRange,
     SeqSchedule,
-    StringExtractParams,
     TableParams,
     TooLarge,
     derive_cond_params,

@@ -190,65 +190,31 @@ class TableParams:
 
 
 # ---------------------------------------------------------------------------
-# Unconditional string-extractor parameters
+# String-extractor parameters
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StringExtractParams:
-    """Derived shape for the unconditional extractor at input length n.
-
-    When the derived color-divisor exponent reaches or exceeds the output
-    length (d_exp >= m_exp), n is too small for the complexity guarantee to
-    say anything; extraction still works mechanically (the table is indexed
-    and a color returned) but no quality claim attaches.
-    """
-
-    n: int
-    sigma: Fraction
-    alpha: Fraction
-    m_exp: int
-    s_exp: int
-    d_exp: int
-
-    def table_params(self) -> TableParams:
-        return TableParams(
-            n_exp=self.n,
-            m_exp=self.m_exp,
-            s_exp=min(self.s_exp, self.n),
-            d_exp=min(self.d_exp, self.m_exp),
-        )
-
-
-def derive_string_params(
-    n: int,
-    sigma: Fraction,
-    alpha: Fraction,
-    *,
-    strict: bool = True,
-) -> StringExtractParams:
-    """Derive (m, s, d) exponents for the unconditional extractor.
+def derive_string_params(n: int, sigma: Fraction, alpha: Fraction) -> TableParams:
+    """The table shape of the unconditional extractor at input length n.
 
     m_exp = floor(2*sigma*n) - ceil(log2 n),
     s_exp = ceil(sigma*n),
-    d_exp = ceil(alpha*n) + 8*ceil(log2 n).
+    d_exp = min(ceil(alpha*n) + 8*ceil(log2 n), m_exp).
 
-    Strict mode enforces the full hypothesis (0 < alpha < sigma <= 1 and
-    d_exp < m_exp) and raises InvalidParams when n is too small for the
-    given rates.  Non-strict mode only requires the shape to be usable
-    (m_exp >= 1, s_exp <= n, 0 <= alpha <= sigma) and also returns shapes
-    with d_exp >= m_exp, where the guarantee is degenerate.
+    Refuses n < 2, rates outside 0 <= alpha <= sigma <= 1 with sigma > 0,
+    m_exp < 1 and s_exp > n.  The complexity guarantee needs the paper's
+    hypothesis 0 < alpha < sigma, which the caller owns, and
+    ceil(alpha*n) + 8*ceil(log2 n) < m_exp.  So a returned d_exp = m_exp
+    marks a shape that carries no guarantee: n is too small for the rates.
+    Extraction through its table still works mechanically, with no quality
+    claim attached.
     """
     sigma = Fraction(sigma)
     alpha = Fraction(alpha)
     if n < 2:
         raise InvalidParams(f"n must be >= 2, got {n}")
-    if strict:
-        if not (0 < alpha < sigma <= 1):
-            raise InvalidParams("need 0 < alpha < sigma <= 1")
-    else:
-        if not (0 <= alpha <= sigma <= 1) or sigma == 0:
-            raise InvalidParams("need 0 <= alpha <= sigma <= 1 with sigma > 0")
+    if not (0 <= alpha <= sigma <= 1) or sigma == 0:
+        raise InvalidParams("need 0 <= alpha <= sigma <= 1 with sigma > 0")
     log_n = ceil_log2(n)
     m_exp = math.floor(2 * sigma * n) - log_n
     s_exp = math.ceil(sigma * n)
@@ -257,53 +223,16 @@ def derive_string_params(
         raise InvalidParams(f"derived m_exp = {m_exp} < 1: n too small for sigma")
     if s_exp > n:
         raise InvalidParams(f"derived s_exp = {s_exp} > n = {n}")
-    if strict and d_exp >= m_exp:
-        raise InvalidParams(
-            f"derived d_exp = {d_exp} >= m_exp = {m_exp}: n too small for (sigma, alpha)"
-        )
-    return StringExtractParams(
-        n=n, sigma=sigma, alpha=alpha,
-        m_exp=m_exp, s_exp=s_exp, d_exp=d_exp,
-    )
+    return TableParams(n, m_exp, s_exp, min(d_exp, m_exp))
 
 
-# ---------------------------------------------------------------------------
-# Conditional string-extractor parameters
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CondExtractParams:
-    """Derived shape for the conditional extractor (D = M).
-
-    The conditional-complexity guarantee subtracts the slack term
-    alpha(n) + 11*ceil(log2 n) from m; it is never enforced.
-    """
-
-    n: int
-    s_of_n: int
-    alpha_of_n: int
-    m_exp: int
-    s_exp: int
-
-    @property
-    def d_exp(self) -> int:
-        return self.m_exp
-
-    def table_params(self) -> TableParams:
-        return TableParams(
-            n_exp=self.n,
-            m_exp=self.m_exp,
-            s_exp=min(self.s_exp, self.n),
-            d_exp=self.m_exp,
-        )
-
-
-def derive_cond_params(n: int, s_of_n: int, alpha_of_n: int) -> CondExtractParams:
-    """Derive (m, s) exponents for the conditional extractor.
+def derive_cond_params(n: int, s_of_n: int, alpha_of_n: int) -> TableParams:
+    """The table shape of the conditional extractor at input length n.
 
     m_exp = floor(s(n)/2) - 7*ceil(log2 n), s_exp = ceil(s(n)/2), D = M.
-    Requires 6*ceil(log2 n) < s(n) <= n.
+    Requires 6*ceil(log2 n) < s(n) <= n and alpha(n) >= 0.  alpha(n) does
+    not shape the table: the conditional-complexity guarantee subtracts the
+    slack alpha(n) + 11*ceil(log2 n) from m, and is never enforced.
     """
     if n < 2:
         raise InvalidParams(f"n must be >= 2, got {n}")
@@ -315,13 +244,9 @@ def derive_cond_params(n: int, s_of_n: int, alpha_of_n: int) -> CondExtractParam
     if alpha_of_n < 0:
         raise InvalidParams("alpha_of_n must be >= 0")
     m_exp = s_of_n // 2 - 7 * log_n
-    s_exp = (s_of_n + 1) // 2
     if m_exp < 1:
         raise InvalidParams(f"derived m_exp = {m_exp} < 1: s_of_n too small")
-    return CondExtractParams(
-        n=n, s_of_n=s_of_n, alpha_of_n=alpha_of_n,
-        m_exp=m_exp, s_exp=s_exp,
-    )
+    return TableParams(n, m_exp, (s_of_n + 1) // 2, m_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +275,7 @@ class BlockSpec:
     def table_params(self) -> TableParams:
         if not self.valid:
             raise InvalidParams(f"block {self.index} emits nothing (m_bits < 1)")
-        return TableParams(
-            n_exp=self.n_bits,
-            m_exp=self.m_bits,
-            s_exp=min(self.s_exp, self.n_bits),
-            d_exp=self.m_bits,
-        )
+        return TableParams(self.n_bits, self.m_bits, self.s_exp, self.m_bits)
 
 
 @dataclass(frozen=True)

@@ -112,12 +112,12 @@ def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
 
 
 def _extract(x: BitString, y: BitString, derive, policy: TablePolicy) -> BitString:
-    """The color at (row x, column y) of the policy's table for the
-    parameters ``derive(n)`` gives at the common input length n."""
+    """The color at (row x, column y) of the policy's table for the shape
+    ``derive(n)`` gives at the common input length n."""
     if len(x) != len(y):
         raise InvalidParams(f"input lengths differ: {len(x)} != {len(y)}")
     params = derive(len(x))
-    table = table_for(params.table_params(), policy)
+    table = table_for(params, policy)
     return BitString(table.lookup(x.value, y.value), params.m_exp)
 
 
@@ -130,12 +130,13 @@ def extract_string(
 ) -> BitString:
     """Unconditional extraction: the table color at (row x, column y).
 
-    Parameters are derived non-strictly: input lengths too small for the
-    complexity guarantee (d_exp >= m_exp) still extract with no quality
-    claim attached, but shapes with no output bits are rejected.
+    The table shape is :func:`derive_string_params` at the input length n.
+    Shapes with no output bits are refused.  An input length too small for
+    the complexity guarantee (derived d_exp = m_exp) still extracts, with
+    no quality claim attached; the guarantee also needs the paper's
+    hypothesis 0 < alpha < sigma, which the caller owns.
     """
-    return _extract(x, y, lambda n: derive_string_params(n, sigma, alpha, strict=False),
-                    policy)
+    return _extract(x, y, lambda n: derive_string_params(n, sigma, alpha), policy)
 
 
 def extract_conditional(
@@ -145,5 +146,9 @@ def extract_conditional(
     alpha_of_n: int,
     policy: TablePolicy = TablePolicy(),
 ) -> BitString:
-    """Conditional extraction (D = M parameterization)."""
+    """Conditional extraction (D = M parameterization).
+
+    The table shape is :func:`derive_cond_params` at the input length n;
+    the conditional guarantee's slack is alpha(n) + 11*ceil(log2 n).
+    """
     return _extract(x, y, lambda n: derive_cond_params(n, s_of_n, alpha_of_n), policy)

@@ -282,8 +282,8 @@ class MatchCompressor:
     Greedy left-to-right parse.  At position i the parser finds the longest
     prefix of the remaining input that occurs as a factor of the already
     emitted text (positions 0..i-1, unbounded window).  A match of length L
-    is taken iff L > 1 + gamma(L) + offs(i), i.e. iff its token is strictly
-    cheaper than carrying the same bits literally; otherwise the bit joins
+    is taken iff L > 1 + gamma(L) + offs(i), i.e. iff its token costs fewer
+    bits than carrying the same bits literally; otherwise the bit joins
     the current literal run.  Token costs in bits:
 
         literal run of L bits:  1 + gamma(L) + L
@@ -541,8 +541,8 @@ def run_extraction_experiment(
     """
     if trials < 1:
         raise InvalidParams("need trials >= 1")
-    params = derive_string_params(spec.n, spec.sigma, spec.alpha, strict=False)
-    table = table_for(params.table_params(), policy)
+    params = derive_string_params(spec.n, spec.sigma, spec.alpha)
+    table = table_for(params, policy)
     m_exp = params.m_exp
     rows, outs = _experiment_chunk(spec, table, trials)
 

@@ -660,9 +660,10 @@ class TestHelp:
         assert "--" in out and "usage" in out.lower()
 
 
-# Every optional flag of every subcommand, case by case: the argv it is added
-# to, two valid settings (an empty one leaves the flag out), and what the
-# pair must give.  "differ": output bytes (stdout and the files written)
+# Every flag of every subcommand, case by case: the argv it is added to, two
+# valid settings (an empty one leaves the flag out; argparse keeps the last
+# of a repeated flag, so a required flag's pair follows the base argv), and
+# what the pair must give.  "differ": output bytes (stdout and the files written)
 # that differ; "refused": exit 1 with one invalid-params line each time;
 # "same": identical bytes.  "ignored" also asks for identical bytes, and is
 # allowed only for the flags in _IGNORED.  In argv, {in} is the input
@@ -682,6 +683,8 @@ _TRANSFORM = ["transform", "--x", "{in}/x", "--y", "{in}/y", "--tau", "1/2",
               "--delta", "1/2", "--B", "2", "--out-bits", "11", "--out", "{out}/z"]
 _EXPERIMENT = ["experiment", "--n", "12", "--sigma", "1/2", "--alpha", "1/8",
                "--trials", "16"]
+_CHECK = ["check-condition", "--n-exp", "3", "--m-exp", "2", "--s-exp", "2",
+          "--d-exp", "1"]
 
 
 def _pair(flag, a, b):
@@ -689,6 +692,11 @@ def _pair(flag, a, b):
 
 
 _FLAG_CASES = {
+    ("gen-table", "--n-exp"): [("", _GEN, _pair("--n-exp", "3", "4"), "differ")],
+    ("gen-table", "--m-exp"): [("", _GEN, _pair("--m-exp", "2", "3"), "differ")],
+    ("gen-table", "--s-exp"): [("", _GEN, _pair("--s-exp", "2", "1"), "differ")],
+    ("gen-table", "--d-exp"): [("", _GEN, _pair("--d-exp", "1", "0"), "differ")],
+    ("gen-table", "--out"): [("", _GEN, _pair("--out", "{out}/t", "{out}/u"), "differ")],
     ("gen-table", "--backend"): [("", _GEN, _pair("--backend", "random", "keyed"),
                                   "differ")],
     ("gen-table", "--seed"): [
@@ -696,6 +704,8 @@ _FLAG_CASES = {
         ("keyed", _GEN + ["--backend", "keyed"], _pair("--seed", "0", "1"), "differ"),
         ("canonical", _CANONICAL, _pair("--seed", "0", "1"), "refused"),
     ],
+    ("verify-table", "--table"): [
+        ("", _EXHAUSTIVE, _pair("--table", "{in}/t3", "{in}/t3b"), "differ")],
     ("verify-table", "--mode"): [
         ("", _EXHAUSTIVE, _pair("--mode", "exhaustive", "sampled"), "differ")],
     ("verify-table", "--samples"): [
@@ -716,11 +726,47 @@ _FLAG_CASES = {
         ("sampled", _SAMPLED, _pair("--threads", "1", "3"), "same"),
         ("exhaustive", _EXHAUSTIVE, _pair("--threads", "1", "2"), "ignored"),
     ],
+    ("check-condition", "--n-exp"): [("", _CHECK, _pair("--n-exp", "3", "4"), "differ")],
+    ("check-condition", "--m-exp"): [("", _CHECK, _pair("--m-exp", "2", "3"), "differ")],
+    ("check-condition", "--s-exp"): [("", _CHECK, _pair("--s-exp", "2", "1"), "differ")],
+    ("check-condition", "--d-exp"): [("", _CHECK, _pair("--d-exp", "1", "0"), "differ")],
+    ("extract", "--x"): [("", _EXTRACT, _pair("--x", "{in}/x", "{in}/y"), "differ")],
+    ("extract", "--y"): [("", _EXTRACT, _pair("--y", "{in}/y", "{in}/x"), "differ")],
+    ("extract", "--sigma"): [("", _EXTRACT, _pair("--sigma", "1/2", "1/4"), "differ")],
+    ("extract", "--alpha"): [
+        ("512 bits", _EXTRACT + ["--bits", "512"], _pair("--alpha", "1/8", "1/2"),
+         "ignored"),
+        ("12 bits", _EXTRACT + ["--bits", "12"], _pair("--alpha", "1/8", "1/2"),
+         "ignored"),
+    ],
+    ("extract", "--out"): [("", _EXTRACT, _pair("--out", "{out}/z", "{out}/w"), "differ")],
     ("extract", "--bits"): [("", _EXTRACT, _pair("--bits", "16", "24"), "differ")],
     ("extract", "--seed"): [("", _EXTRACT, _pair("--seed", "0", "1"), "differ")],
+    ("extract-cond", "--x"): [("", _COND, _pair("--x", "{in}/x", "{in}/y"), "differ")],
+    ("extract-cond", "--y"): [("", _COND, _pair("--y", "{in}/y", "{in}/x"), "differ")],
+    ("extract-cond", "--s"): [("", _COND, _pair("--s", "512", "600"), "differ")],
+    ("extract-cond", "--alpha"): [("", _COND, _pair("--alpha", "0", "999"), "ignored")],
+    ("extract-cond", "--out"): [("", _COND, _pair("--out", "{out}/z", "{out}/w"),
+                                 "differ")],
     ("extract-cond", "--bits"): [("", _COND, _pair("--bits", "512", "1024"), "differ")],
     ("extract-cond", "--seed"): [("", _COND, _pair("--seed", "0", "1"), "differ")],
+    ("transform", "--x"): [("", _TRANSFORM, _pair("--x", "{in}/x", "{in}/y"), "differ")],
+    ("transform", "--y"): [("", _TRANSFORM, _pair("--y", "{in}/y", "{in}/x"), "differ")],
+    ("transform", "--tau"): [("", _TRANSFORM, _pair("--tau", "1/2", "1/4"), "differ")],
+    ("transform", "--delta"): [("", _TRANSFORM, _pair("--delta", "1/2", "7"), "ignored")],
+    ("transform", "--B"): [("", _TRANSFORM, _pair("--B", "2", "3"), "differ")],
+    ("transform", "--out-bits"): [("", _TRANSFORM, _pair("--out-bits", "11", "12"),
+                                   "differ")],
+    ("transform", "--out"): [("", _TRANSFORM, _pair("--out", "{out}/z", "{out}/w"),
+                              "differ")],
     ("transform", "--seed"): [("", _TRANSFORM, _pair("--seed", "0", "1"), "differ")],
+    ("experiment", "--n"): [("", _EXPERIMENT, _pair("--n", "12", "13"), "differ")],
+    ("experiment", "--sigma"): [("", _EXPERIMENT, _pair("--sigma", "1/2", "5/8"),
+                                 "differ")],
+    ("experiment", "--alpha"): [("", _EXPERIMENT, _pair("--alpha", "1/8", "1/4"),
+                                 "differ")],
+    ("experiment", "--trials"): [("", _EXPERIMENT, _pair("--trials", "16", "17"),
+                                  "differ")],
     ("experiment", "--seed"): [("", _EXPERIMENT, _pair("--seed", "0", "1"), "differ")],
     ("experiment", "--csv"): [("", _EXPERIMENT, ([], ["--csv", "{out}/e.csv"]), "differ")],
     ("experiment", "--summary"): [
@@ -730,38 +776,45 @@ _FLAG_CASES = {
 }
 
 # Flags accepted and ignored, each until ROADMAP item 5 lets the benchmark
-# drop them: its workloads pass them.
+# drop them: its workloads pass them.  The rates alpha and delta set the
+# paper's guarantee, not the construction, so they are only range-checked.
 _IGNORED = {
     ("verify-table", "--threads", "exhaustive"): "ROADMAP item 5: bench passes it",
     ("experiment", "--threads", ""): "ROADMAP item 5: bench passes it",
+    ("extract", "--alpha", "512 bits"): "bench passes it (ROADMAP item 5)",
+    ("extract", "--alpha", "12 bits"): "bench passes it (ROADMAP item 5)",
+    ("extract-cond", "--alpha", ""): "bench passes it (ROADMAP item 5)",
+    ("transform", "--delta", ""): "bench passes it (ROADMAP item 5)",
 }
 
 
 def _flag_dirs(tmp_path, capsys) -> dict:
-    """{in} and {out} of the flag cases: inputs x and y of 1024 bits and t3,
-    a random 8 x 8 table with 4 colors, and an empty output directory."""
+    """{in} and {out} of the flag cases: inputs x and y of 1024 bits, t3 and
+    t3b, random 8 x 8 tables with 4 colors, and an empty output directory."""
     inp, out = tmp_path / "in", tmp_path / "out"
     inp.mkdir()
     out.mkdir()
     (inp / "x").write_bytes(bytes(range(7, 135)))
     (inp / "y").write_bytes(bytes(range(128))[::-1])
     assert run(capsys, *_GEN[:-1], str(inp / "t3"), "--seed", "5")[0] == 0
+    assert run(capsys, *_GEN[:-1], str(inp / "t3b"), "--seed", "6")[0] == 0
     return {"in": inp, "out": out}
 
 
-def _optional_flags():
-    """(subcommand, flag) for every optional flag of every subcommand."""
+def _flags():
+    """(subcommand, flag) for every flag, required or optional, of every
+    subcommand."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     return [pytest.param(cmd, a.option_strings[0], id=cmd + a.option_strings[0])
             for cmd, p in sub.choices.items() for a in p._actions
-            if a.option_strings and a.dest != "help" and not a.required]
+            if a.option_strings and a.dest != "help"]
 
 
 class TestFlagGuard:
-    @pytest.mark.parametrize("cmd, flag", _optional_flags())
+    @pytest.mark.parametrize("cmd, flag", _flags())
     def test_no_flag_is_accepted_and_ignored(self, tmp_path, capsys, cmd, flag):
-        assert (cmd, flag) in _FLAG_CASES, "every optional flag needs a case"
+        assert (cmd, flag) in _FLAG_CASES, "every flag needs a case"
         dirs = _flag_dirs(tmp_path, capsys)
         out = dirs["out"]
         for context, base, pair, expected in _FLAG_CASES[cmd, flag]:

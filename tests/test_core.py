@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from balext.core import (
     BitString,
+    BlockSpec,
     InvalidParams,
     OutOfRange,
     TableParams,
@@ -113,32 +114,75 @@ class TestTableParams:
             TableParams(*bad)
 
 
+def _log2_ceil(n):
+    """Smallest k with 2**k >= n, by counting up: the derivations' oracle."""
+    k = 0
+    while 2**k < n:
+        k += 1
+    return k
+
+
+_RATES = st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=64)
+
+
 class TestStringParams:
     def test_example_n64(self):
         p = derive_string_params(64, F(1, 2), F(1, 8))
-        assert (p.m_exp, p.s_exp, p.d_exp) == (58, 32, 56)
-        # size-domination invariants
-        assert p.s_exp <= p.n and p.d_exp <= p.m_exp
+        assert p == TableParams(64, 58, 32, 56)      # d_exp < m_exp: a guarantee
 
-    def test_example_n4_rejected(self):
-        with pytest.raises(InvalidParams):
-            derive_string_params(4, F(1, 2), F(1, 4))
+    def test_example_n4_clamps_d_to_m(self):
+        # d = ceil(4/4) + 8*2 = 17 >= m = 4 - 2 = 2: no guarantee, d_exp = m_exp
+        assert derive_string_params(4, F(1, 2), F(1, 4)) == TableParams(4, 2, 2, 2)
 
-    def test_example_n2_rejected(self):
-        with pytest.raises(InvalidParams):
-            derive_string_params(2, F(1), F(1, 2))
+    def test_example_n2_clamps_d_to_m(self):
+        # m = 4 - 1 = 3, s = 2, d = 1 + 8 = 9 >= 3
+        assert derive_string_params(2, F(1), F(1, 2)) == TableParams(2, 3, 2, 3)
 
-    def test_degenerate_small_n_allowed_nonstrict(self):
-        p = derive_string_params(12, F(1, 2), F(1, 8), strict=False)
-        assert (p.m_exp, p.s_exp, p.d_exp) == (8, 6, 34)     # d_exp >= m_exp
-        tp = p.table_params()
-        assert tp.d_exp == tp.m_exp == 8
+    def test_degenerate_small_n_clamps_d_to_m(self):
+        # d = ceil(12/8) + 8*4 = 34 >= m = 12 - 4 = 8
+        assert derive_string_params(12, F(1, 2), F(1, 8)) == TableParams(12, 8, 6, 8)
 
     def test_hypothesis_bounds_enforced(self):
-        with pytest.raises(InvalidParams):
-            derive_string_params(64, F(1, 2), F(1, 2))  # alpha == sigma
-        with pytest.raises(InvalidParams):
-            derive_string_params(64, F(3, 2), F(1, 8))  # sigma > 1
+        # the paper's 0 < alpha < sigma is the caller's to keep; the
+        # derivation refuses rates outside 0 <= alpha <= sigma <= 1, sigma > 0
+        msg = "need 0 <= alpha <= sigma <= 1 with sigma > 0"
+        for sigma, alpha in [(F(3, 2), F(1, 8)), (F(1, 4), F(1, 2)), (F(0), F(0)),
+                             (F(1, 2), F(-1, 8))]:
+            with pytest.raises(InvalidParams) as exc:
+                derive_string_params(64, sigma, alpha)
+            assert str(exc.value) == msg
+        assert derive_string_params(64, F(1, 2), F(1, 2)) == TableParams(64, 58, 32, 58)
+        assert derive_string_params(64, F(1, 2), F(0)) == TableParams(64, 58, 32, 48)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_n_below_two_refused(self, n):
+        with pytest.raises(InvalidParams) as exc:
+            derive_string_params(n, F(1, 2), F(1, 8))
+        assert str(exc.value) == f"n must be >= 2, got {n}"
+
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.integers(2, 2**16), sigma=_RATES, alpha=_RATES)
+    @example(n=4, sigma=F(1, 2), alpha=F(1, 4))
+    @example(n=2, sigma=F(1, 4), alpha=F(0))         # m = 1 - 1 = 0
+    @example(n=64, sigma=F(1, 2), alpha=F(1, 8))
+    @example(n=65536, sigma=F(1), alpha=F(1))
+    def test_equals_fraction_formulas(self, n, sigma, alpha):
+        log_n = _log2_ceil(n)
+        m = math.floor(2 * sigma * n) - log_n
+        s = math.ceil(sigma * n)                         # <= n whenever sigma <= 1
+        d = math.ceil(alpha * n) + 8 * log_n
+        if not (0 <= alpha <= sigma <= 1 and sigma > 0):
+            msg = "need 0 <= alpha <= sigma <= 1 with sigma > 0"
+        elif m < 1:
+            msg = f"derived m_exp = {m} < 1: n too small for sigma"
+        else:
+            p = derive_string_params(n, sigma, alpha)
+            assert p == TableParams(n, m, s, min(d, m))
+            assert (p.d_exp == p.m_exp) == (d >= m)
+            return
+        with pytest.raises(InvalidParams) as exc:
+            derive_string_params(n, sigma, alpha)
+        assert str(exc.value) == msg
 
     @given(st.integers(8, 4096), st.integers(1, 16), st.integers(1, 16))
     def test_pure_and_deterministic(self, n, snum, anum):
@@ -152,14 +196,13 @@ class TestStringParams:
             return
         b = derive_string_params(n, sigma, alpha)
         assert a == b
-        assert a.s_exp <= n and a.d_exp < a.m_exp
+        assert a.n_exp == n and a.s_exp <= n and a.d_exp <= a.m_exp
 
 
 class TestCondParams:
     def test_example_n1024(self):
         p = derive_cond_params(1024, 512, 64)
-        assert (p.m_exp, p.s_exp) == (186, 256)
-        assert p.d_exp == p.m_exp
+        assert p == TableParams(1024, 186, 256, 186)     # D = M
 
     def test_example_boundary(self):
         with pytest.raises(InvalidParams):
@@ -172,6 +215,34 @@ class TestCondParams:
     def test_too_small_m(self):
         with pytest.raises(InvalidParams):
             derive_cond_params(64, 37, 0)  # floor(37/2) - 42 < 1
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_n_below_two_refused(self, n):
+        with pytest.raises(InvalidParams) as exc:
+            derive_cond_params(n, 1, 0)
+        assert str(exc.value) == f"n must be >= 2, got {n}"
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 2**16))
+    def test_equals_integer_formulas(self, data, n):
+        s_of_n = data.draw(st.integers(-2, n + 2), label="s_of_n")
+        alpha_of_n = data.draw(st.integers(-2, 2 * n), label="alpha_of_n")
+        log_n = _log2_ceil(n)
+        m = math.floor(F(s_of_n, 2)) - 7 * log_n
+        if not 6 * log_n < s_of_n <= n:
+            msg = (f"need 6*ceil(log2 n) = {6 * log_n} < s_of_n <= n, "
+                   f"got s_of_n = {s_of_n}")
+        elif alpha_of_n < 0:
+            msg = "alpha_of_n must be >= 0"
+        elif m < 1:
+            msg = f"derived m_exp = {m} < 1: s_of_n too small"
+        else:
+            p = derive_cond_params(n, s_of_n, alpha_of_n)
+            assert p == TableParams(n, m, math.ceil(F(s_of_n, 2)), m)
+            return
+        with pytest.raises(InvalidParams) as exc:
+            derive_cond_params(n, s_of_n, alpha_of_n)
+        assert str(exc.value) == msg
 
 
 class TestSeqSchedule:
@@ -204,6 +275,21 @@ class TestSeqSchedule:
                 tp = b.table_params()
                 assert tp.d_exp == tp.m_exp == b.m_bits
                 assert tp.s_exp <= tp.n_exp
+
+    @settings(max_examples=150, deadline=None)
+    @given(tau=st.fractions(min_value=0, max_value=1, max_denominator=1000)
+           .filter(lambda t: t > 0),
+           base=st.integers(min_value=2, max_value=12))
+    def test_every_block_side_fits_its_input(self, tau, base):
+        # s_i = ceil(0.98 tau n_i) <= n_i since tau <= 1
+        for b in derive_seq_schedule(tau, F(1, 2), base, 20).blocks:
+            assert b.s_exp <= b.n_bits
+            if b.valid:
+                assert b.table_params() == TableParams(b.n_bits, b.m_bits, b.s_exp, b.m_bits)
+
+    def test_block_side_beyond_input_refused(self):
+        with pytest.raises(InvalidParams, match="s_exp <= n_exp"):
+            BlockSpec(index=1, n_bits=4, m_bits=2, s_exp=5).table_params()
 
     @pytest.mark.parametrize("tau", [F(1, 2), F(1), F(3, 7), F(99, 100)])
     @pytest.mark.parametrize("base", [2, 3, 12])

@@ -32,8 +32,8 @@ class TestExtractString:
         x = BitString(1, 12)
         y = BitString(1 << 11, 12)
         policy = TablePolicy(kind="random", seed=7)
-        params = derive_string_params(12, F(1, 2), F(1, 8), strict=False)
-        table = table_for(params.table_params(), policy)
+        params = derive_string_params(12, F(1, 2), F(1, 8))
+        table = table_for(params, policy)
         z = extract_string(x, y, F(1, 2), F(1, 8), policy)
         assert z.value == table.lookup(1, 1 << 11)
         assert len(z) == params.m_exp
@@ -42,8 +42,8 @@ class TestExtractString:
         x = y = BitString.zeros(12)
         policy = TablePolicy(kind="random", seed=7)
         z = extract_string(x, y, F(1, 2), F(1, 8), policy)
-        params = derive_string_params(12, F(1, 2), F(1, 8), strict=False)
-        table = table_for(params.table_params(), policy)
+        params = derive_string_params(12, F(1, 2), F(1, 8))
+        table = table_for(params, policy)
         assert z == BitString(table.lookup(0, 0), 8)
 
     def test_swap_changes_output_somewhere(self):
@@ -88,7 +88,7 @@ class TestExtractString:
     def test_table_reuse_is_bitwise(self):
         # two calls with identical config see bitwise-identical tables
         policy = TablePolicy(kind="random", seed=9)
-        params = derive_string_params(12, F(1, 2), F(1, 8), strict=False).table_params()
+        params = derive_string_params(12, F(1, 2), F(1, 8))
         t1 = table_for(params, policy)
         t2 = table_for(params, policy)
         assert t1.digest() == t2.digest()
