@@ -30,7 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from balext.core import BitString  # noqa: E402
-from balext.mixing import stream_bits, substream  # noqa: E402
+from balext.mixing import stream_bits, stream_value  # noqa: E402
 from balext.sources import MatchCompressor, dep_estimate  # noqa: E402
 
 
@@ -48,8 +48,8 @@ def main(argv: list[str] | None = None) -> int:
     deps = []
     gaps = []
     for seed in range(args.seeds):
-        x = BitString(stream_bits(substream(seed, 1), args.n), args.n)
-        y = BitString(stream_bits(substream(seed, 2), args.n), args.n)
+        x = BitString(stream_bits(stream_value(seed, 1), args.n), args.n)
+        y = BitString(stream_bits(stream_value(seed, 2), args.n), args.n)
         d_xy = dep_estimate(x, y, est)
         d_yx = dep_estimate(y, x, est)
         deps.append(d_xy)

@@ -180,14 +180,6 @@ class TableParams:
     def m_colors(self) -> int:
         return 1 << self.m_exp
 
-    @property
-    def s_side(self) -> int:
-        return 1 << self.s_exp
-
-    @property
-    def d_divisor(self) -> int:
-        return 1 << self.d_exp
-
 
 # ---------------------------------------------------------------------------
 # String-extractor parameters
@@ -202,8 +194,8 @@ def derive_string_params(n: int, sigma: Fraction, alpha: Fraction) -> TableParam
     d_exp = min(ceil(alpha*n) + 8*ceil(log2 n), m_exp).
 
     Refuses n < 2, rates outside 0 <= alpha <= sigma <= 1 with sigma > 0,
-    m_exp < 1 and s_exp > n.  The complexity guarantee needs the paper's
-    hypothesis 0 < alpha < sigma, which the caller owns, and
+    and m_exp < 1; sigma <= 1 makes s_exp <= n.  The complexity guarantee
+    needs the paper's hypothesis 0 < alpha < sigma, which the caller owns, and
     ceil(alpha*n) + 8*ceil(log2 n) < m_exp.  So a returned d_exp = m_exp
     marks a shape that carries no guarantee: n is too small for the rates.
     Extraction through its table still works mechanically, with no quality
@@ -221,8 +213,6 @@ def derive_string_params(n: int, sigma: Fraction, alpha: Fraction) -> TableParam
     d_exp = math.ceil(alpha * n) + 8 * log_n
     if m_exp < 1:
         raise InvalidParams(f"derived m_exp = {m_exp} < 1: n too small for sigma")
-    if s_exp > n:
-        raise InvalidParams(f"derived s_exp = {s_exp} > n = {n}")
     return TableParams(n, m_exp, s_exp, min(d_exp, m_exp))
 
 

@@ -19,8 +19,8 @@ experiments and the sequence transformer alike.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 from .core import (
@@ -63,8 +63,6 @@ class TablePolicy:
         return self.kind
 
 
-_table_cache: dict[tuple, BalancedTable] = {}
-_table_cache_lock = threading.Lock()
 _TABLE_CACHE_MAX = 8
 
 
@@ -79,6 +77,11 @@ def build_table(params: TableParams, policy: TablePolicy) -> BalancedTable:
     return keyed_table(params, policy.effective_key())
 
 
+@lru_cache(maxsize=_TABLE_CACHE_MAX)
+def _cached_table(params: TableParams, kind: str, seed: int) -> BalancedTable:
+    return build_table(params, TablePolicy(kind, seed))
+
+
 def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
     """The policy's table from :func:`build_table`, through the
     process-wide cache.
@@ -90,25 +93,16 @@ def table_for(params: TableParams, policy: TablePolicy) -> BalancedTable:
     to reconstructing the table on every call.  Only explicit tables are
     cached, keyed by (params, kind, seed): a keyed table is built in O(1)
     and never evicts one that cost a fill or carries a digest.  The cache
-    keeps the newest ``_TABLE_CACHE_MAX`` tables.  A random table holds
-    its cells or is a formula by the rule in the :mod:`balext.tables`
-    docstring, so with two bytes a cell at most, the cache holds at most
-    16 MB of cells.
+    keeps the ``_TABLE_CACHE_MAX`` most recently used tables, evicting
+    the least recently used, and a refused build caches and evicts
+    nothing.  A random table holds its cells or is a formula by the rule
+    in the :mod:`balext.tables` docstring, so with two bytes a cell at
+    most, the cache holds at most 16 MB of cells.
     """
     kind = policy.kind_for(params)
     if kind == "keyed":
         return build_table(params, policy)
-    key = (params, kind, policy.seed)
-    with _table_cache_lock:
-        if key in _table_cache:
-            return _table_cache[key]
-    table = build_table(params, policy)
-    with _table_cache_lock:
-        _table_cache.pop(key, None)
-        _table_cache[key] = table
-        while len(_table_cache) > _TABLE_CACHE_MAX:
-            _table_cache.pop(next(iter(_table_cache)))
-    return table
+    return _cached_table(params, kind, policy.seed)
 
 
 def _extract(x: BitString, y: BitString, derive, policy: TablePolicy) -> BitString:

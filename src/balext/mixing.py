@@ -11,8 +11,9 @@ generated statefully, so any output of any stream is computable in O(1), the
 scheme is platform independent, and parallel consumers can share nothing.
 
 Stream splitting: the k-th output of a stream (``stream_value``) may itself
-be used as the state of a child stream (``substream``).  Consumers document
-which tags they reserve, so no two consumers ever draw from the same stream.
+be used as the state of a child stream, the one reserved under tag k.
+Consumers document which tags they reserve, so no two consumers ever draw
+from the same stream.
 
 No other module does stream-index arithmetic.  The scalar per-word loops
 are :func:`absorb` and :func:`stream_words`, the finalizer inlined.  In
@@ -55,11 +56,6 @@ def scramble(z: int) -> int:
 def stream_value(state: int, k: int) -> int:
     """The k-th (0-based) output of the SplitMix64 stream rooted at ``state``."""
     return scramble(state + (k + 1) * GAMMA)
-
-
-def substream(state: int, tag: int) -> int:
-    """State of the child stream reserved under ``tag``."""
-    return stream_value(state, tag)
 
 
 def absorb(h: int, words) -> int:

@@ -40,7 +40,7 @@ from .core import (
     seed64,
 )
 from .extract import TablePolicy, table_for
-from .mixing import stream_bits, stream_block_np, stream_values_np, substream
+from .mixing import stream_bits, stream_block_np, stream_value, stream_values_np
 
 # Fixed by the calibration campaign committed under calibration/ (n = 1024,
 # 1000 seeds): max |dep| observed on independent pairs was 48 bits and the
@@ -73,10 +73,6 @@ class PlantedPairSpec:
     def shared_bits(self) -> int:
         return _bit_counts(self.n, self.sigma, self.alpha)[0]
 
-    @property
-    def random_bits(self) -> int:
-        return _bit_counts(self.n, self.sigma, self.alpha)[1]
-
 
 def _bit_counts(n: int, sigma, alpha) -> tuple[int, int]:
     # (shared, random) bits of a pair
@@ -93,9 +89,9 @@ def gen_planted_pair(
     seed = spec.seed if seed is None else seed64(seed)
     n_free = n_random - n_shared
     pad = spec.n - n_random
-    shared = stream_bits(substream(seed, 3), n_shared)
-    r1 = stream_bits(substream(seed, 1), n_free)
-    r2 = stream_bits(substream(seed, 2), n_free)
+    shared = stream_bits(stream_value(seed, 3), n_shared)
+    r1 = stream_bits(stream_value(seed, 1), n_free)
+    r2 = stream_bits(stream_value(seed, 2), n_free)
     x = ((r1 << n_shared) | shared) << pad
     y = ((r2 << n_shared) | shared) << pad
     return BitString(x, spec.n), BitString(y, spec.n)
@@ -108,7 +104,7 @@ def _planted_pairs_np(
     values of x and y; needs n <= 64.  No shift reaches 64 bits."""
 
     def bits(tag: int, count: int) -> np.ndarray:
-        # stream_bits(substream(seed, tag), count), count <= 64
+        # stream_bits(stream_value(seed, tag), count), count <= 64
         if count == 0:
             return np.zeros_like(seeds)
         return stream_values_np(stream_values_np(seeds, tag), 0) >> np.uint64(64 - count)

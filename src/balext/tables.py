@@ -3,7 +3,7 @@
 Three backends produce a table T : [N] x [N] -> [M]:
 
 * explicit-random: cells drawn from seeded SplitMix64 streams, one stream
-  per row.  Row r's stream is ``substream(seed, r)``; the color of cell
+  per row.  Row r's stream is ``stream_value(seed, r)``; the color of cell
   (r, c) is the low m_exp bits of that stream's c-th output.  Bit-exact
   across platforms and runs.  The rule for every random table: held at
   <= 2^20 cells, formula beyond.  A held table's cells are the formula's
@@ -25,7 +25,9 @@ Three backends produce a table T : [N] x [N] -> [M]:
   verification applies.
 
 Random and canonical tables are explicit, whether or not they hold their
-cells; keyed tables are not.
+cells; keyed tables are not.  Whatever the backend,
+:meth:`BalancedTable.grid` gives the cells of any rectangle, equal to
+``lookup`` cell for cell, and the verifiers count those.
 
 The binary file format (little-endian) is:
 
@@ -287,16 +289,28 @@ class BalancedTable:
         return keyed_color(self.seed_or_key, p.n_exp, p.m_exp, row, col)
 
     def grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Cells rows x cols of an explicit table, in its cell dtype:
-        gathered by two ``take`` calls, or filled block by block from the
-        formula with O(``_FILL_CHUNK``) scratch."""
+        """Cells rows x cols, equal to :meth:`lookup` cell for cell, as an
+        array that ``np.bincount`` (dense colors) and ``np.unique`` (ranked
+        colors) accept as is.  Held cells are gathered by two ``take``
+        calls, and a formula's are filled block by block with
+        O(``_FILL_CHUNK``) scratch, both in the cell dtype.  A keyed
+        table's come from :func:`keyed_colors_grid` when n_exp, m_exp <= 64
+        and cell by cell otherwise, as intp below 64 color bits, uint64 at
+        64 and Python ints in an object array above."""
+        p = self.params
         if self.cells is not None:
             return self.cells.take(rows, axis=0).take(cols, axis=1)
-        out = np.empty((len(rows), len(cols)), dtype=cell_dtype(self.params.m_exp))
+        if not self.is_explicit:
+            if p.n_exp <= 64 and p.m_exp <= 64:
+                grid = keyed_colors_grid(self.seed_or_key, p.n_exp, p.m_exp, rows, cols)
+            else:
+                grid = np.array([[self.lookup(int(r), int(c)) for c in cols] for r in rows],
+                                dtype=np.uint64 if p.m_exp <= 64 else object)
+            return grid.view(np.intp) if p.m_exp < 64 else grid
+        out = np.empty((len(rows), len(cols)), dtype=cell_dtype(p.m_exp))
         step = min(len(rows), max(1, _FILL_CHUNK // max(1, len(cols))))
         _fill_rows(stream_values_np(self.seed_or_key, rows), stream_steps(cols), out,
-                   np.empty((2, step, len(cols)), dtype=np.uint64),
-                   _narrow_mask(self.params.m_exp))
+                   np.empty((2, step, len(cols)), dtype=np.uint64), _narrow_mask(p.m_exp))
         return out
 
     def _header(self, layout) -> bytes:

@@ -25,16 +25,16 @@ subset, and a chunk of row subsets sums its rows' histograms with one
 contiguous ``take`` per row; otherwise each chunk gathers its rectangles'
 cells with two ``take`` calls and counts them with one ``bincount``.
 Either way memory is bounded per chunk, not with N * N * M or with the
-number of subsets.  Sampled mode draws seeded random rectangles chunk by
-chunk (rows and columns by a sparse partial Fisher-Yates, sample j from
-streams 2j and 2j+1 of the verification seed), gathers each one's cells
-with two ``take`` calls, or computes them from a random table's formula
-or for a keyed table, and counts them into one row of a rectangle-major
-array that the core reads transposed; when M > 2^20 it ranks the colors
-present with ``np.unique`` instead.  A chunk of samples holds its
-O(chunk x S) draws, its count array and its rectangles' cells, so memory
-grows with neither the sample count nor N.  Sampled mode is a Monte-Carlo
-relaxation with no certificate.
+number of subsets.  Sampled mode is one loop over chunks of samples:
+each chunk draws its seeded random rectangles (rows and columns by a
+sparse partial Fisher-Yates, sample j from streams 2j and 2j+1 of the
+verification seed), takes each one's cells from
+:meth:`BalancedTable.grid`, whatever the backend, and counts them into
+one row of a rectangle-major array that the core reads transposed; when
+M > 2^20 it ranks the colors present with ``np.unique`` instead.  A chunk
+holds its O(chunk x S) draws, its count array and its rectangles' cells,
+so memory grows with neither the sample count nor N.  Sampled mode is a
+Monte-Carlo relaxation with no certificate.
 
 Reports are reproducible: the witness is the first violating rectangle in
 enumeration/sample order and the worst ratio is a max over checked
@@ -55,7 +55,7 @@ import numpy as np
 
 from .core import InvalidParams, TableParams, TooLarge, seed64
 from .mixing import partial_shuffle_batch, stream_block_np
-from .tables import EXPLICIT_N_EXP_CAP, BalancedTable, keyed_colors_grid
+from .tables import EXPLICIT_N_EXP_CAP, BalancedTable
 
 ENUM_CAP = 10**8             # most rectangles an exhaustive check enumerates
 _CHUNK = 1 << 14             # entries of a chunk's gathered cells, count array or draws
@@ -87,7 +87,6 @@ class VerificationReport:
     """
 
     mode: str                      # "exhaustive" or "sampled"
-    samples: int | None
     passed: bool
     rectangles_checked: int
     worst_ratio: Fraction
@@ -136,8 +135,8 @@ class VerificationReport:
             "prefix_mode": self.prefix_mode,
             "table_digest": self.table_digest,
         }
-        if self.samples is not None:
-            d["samples"] = self.samples
+        if self.mode == "sampled":
+            d["samples"] = self.rectangles_checked
         return d
 
     def to_json(self) -> str:
@@ -250,7 +249,7 @@ def _report(table, s_exp, rule, result, samples=None) -> VerificationReport:
     else:
         checked = samples
     return VerificationReport(
-        mode="exhaustive" if samples is None else "sampled", samples=samples,
+        mode="exhaustive" if samples is None else "sampled",
         passed=witness is None, rectangles_checked=checked,
         worst_ratio=Fraction(worst, 2 * rule.area), witness=witness,
         check_s_exp=s_exp, check_d_exp=rule.d_exp, prefix_mode=rule.prefix,
@@ -394,48 +393,29 @@ def balance_holds(table: BalancedTable, s_exp: int, d_exp: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _rect_colors(table: BalancedTable, rows: np.ndarray, cols: np.ndarray):
-    """The rectangle's cells: explicit ones from :meth:`BalancedTable.grid`,
-    keyed ones below 2^63 as an intp view that ``bincount`` counts as is."""
-    if table.is_explicit:
-        return table.grid(rows, cols)
-    p = table.params
-    if p.m_exp <= 64:
-        grid = keyed_colors_grid(table.seed_or_key, p.n_exp, p.m_exp, rows, cols)
-        return grid if p.m_exp == 64 else grid.view(np.intp)
-    return np.array(
-        [[table.lookup(int(r), int(c)) for c in cols] for r in rows], dtype=object
-    )
-
-
 def _sampled(table: BalancedTable, rule: _Rule, seed: int, start: int, count: int,
              ranked: bool):
     """Yield (rectangle of column, count array, labels) chunks for samples
     start..start+count-1.  Sample j's rows and columns are partial
     Fisher-Yates draws seeded by outputs 2j and 2j + 1 of the seed's
-    stream.  Samples are drawn in batches whose row and column draws hold
-    at most _CHUNK entries each, and counted in chunks sized by their
-    count array, one rectangle per row, yielded transposed to
-    color-major."""
+    stream.  Each chunk draws and counts its samples, one rectangle per
+    row of its count array, yielded transposed to color-major; a chunk's
+    row and column draws and its count array hold at most _CHUNK entries
+    each, unless one rectangle's do."""
     p = table.params
     if ranked:    # k rectangles hold at most k * area distinct colors
-        step = max(1, math.isqrt(_CHUNK // rule.area))
+        bound = math.isqrt(_CHUNK // rule.area)
     else:
-        step = max(1, _CHUNK // p.m_colors)
+        bound = _CHUNK // p.m_colors
         labels = np.arange(p.m_colors)
-    draw = max(1, _CHUNK // rule.side)
+    step = max(1, min(bound, _CHUNK // rule.side))
 
-    def chunks():
-        for d0 in range(0, count, draw):
-            states = stream_block_np(seed, 2 * (start + d0), 2 * min(draw, count - d0))
-            batch = list(zip(partial_shuffle_batch(states[0::2], p.n_side, rule.side),
-                             partial_shuffle_batch(states[1::2], p.n_side, rule.side)))
-            for b0 in range(0, len(batch), step):
-                yield batch[b0:b0 + step]
-
-    for rects in chunks():
+    for c0 in range(start, start + count, step):
+        states = stream_block_np(seed, 2 * c0, 2 * min(step, start + count - c0))
+        rects = list(zip(partial_shuffle_batch(states[0::2], p.n_side, rule.side),
+                         partial_shuffle_batch(states[1::2], p.n_side, rule.side)))
         if ranked:
-            grids = [_rect_colors(table, r, c).ravel() for r, c in rects]
+            grids = [table.grid(r, c).ravel() for r, c in rects]
             labels, inverse = np.unique(np.concatenate(grids), return_inverse=True)
             which = np.repeat(np.arange(len(rects)), rule.area) * len(labels) + inverse
             counts = np.bincount(which, minlength=len(rects) * len(labels))
@@ -443,8 +423,7 @@ def _sampled(table: BalancedTable, rule: _Rule, seed: int, start: int, count: in
         else:
             counts = np.empty((len(rects), p.m_colors), dtype=np.int64)
             for k, (r, c) in enumerate(rects):
-                counts[k] = np.bincount(_rect_colors(table, r, c).ravel(),
-                                        minlength=p.m_colors)
+                counts[k] = np.bincount(table.grid(r, c).ravel(), minlength=p.m_colors)
 
         def rect(k, rects=rects):
             rows, cols = rects[k]

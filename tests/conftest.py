@@ -296,10 +296,10 @@ def _empty_table_cache():
     cache, so a monkeypatched builder is always the one that runs, and no
     test depends on when garbage collection drops the record of checked
     block tables."""
-    extract._table_cache.clear()
+    extract._cached_table.cache_clear()
     seqtransform._checked_tables.clear()
     yield
-    extract._table_cache.clear()
+    extract._cached_table.cache_clear()
     seqtransform._checked_tables.clear()
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 from balext.cli import main as cli_main
 from balext.core import BitString, TableParams, derive_seq_schedule
 from balext.extract import TablePolicy, extract_string
-from balext.mixing import stream_bits, substream
+from balext.mixing import stream_bits, stream_value
 from balext.seqtransform import CountingBitStream, SeededBitStream, SequenceTransformer
 from balext.sources import (
     THETA_INDEP,
@@ -210,8 +210,8 @@ def test_c09_surrogate_sanity():
         ok = 0
         n = 1024
         for seed in range(1000):
-            x = BitString(stream_bits(substream(seed, 1), n), n)
-            y = BitString(stream_bits(substream(seed, 2), n), n)
+            x = BitString(stream_bits(stream_value(seed, 1), n), n)
+            y = BitString(stream_bits(stream_value(seed, 2), n), n)
             dup_ok = dep_estimate(x, x, est) >= 0.8 * est.estimate(x)
             indep_ok = abs(dep_estimate(x, y, est)) <= THETA_INDEP
             ok += dup_ok and indep_ok

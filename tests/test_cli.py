@@ -115,7 +115,7 @@ class TestGenVerify:
         assert out.read_bytes() == want.to_bytes()
         assert stdout == f"backend={backend} digest={want.digest()}\n"
         assert want.seed_or_key == (seed or 0)
-        assert extract._table_cache == {}
+        assert extract._cached_table.cache_info().currsize == 0
         assert not {"random_table", "keyed_table", "canonical_table"} & set(vars(cli))
 
     def test_canonical_refuses_seed(self, tmp_path, capsys):

@@ -103,8 +103,8 @@ def test_round_half_up():
 class TestTableParams:
     def test_invariants(self):
         p = TableParams(10, 4, 8, 1)
-        assert (p.n_side, p.m_colors, p.s_side, p.d_divisor) == (1024, 16, 256, 2)
-        assert p.m_colors // p.d_divisor == 8     # |A| = M/D
+        assert (p.n_side, p.m_colors, 1 << p.s_exp, 1 << p.d_exp) == (1024, 16, 256, 2)
+        assert p.m_colors >> p.d_exp == 8     # |A| = M/D
 
     @pytest.mark.parametrize(
         "bad", [(0, 1, 0, 0), (1, 0, 0, 0), (2, 2, 3, 1), (2, 2, 1, 3)]
@@ -178,6 +178,7 @@ class TestStringParams:
         else:
             p = derive_string_params(n, sigma, alpha)
             assert p == TableParams(n, m, s, min(d, m))
+            assert p.s_exp <= n
             assert (p.d_exp == p.m_exp) == (d >= m)
             return
         with pytest.raises(InvalidParams) as exc:

@@ -98,17 +98,25 @@ class TestExtractString:
         # a random table holds at most 2^20 cells of at most two bytes, and a
         # larger one is a formula that holds none, so the 8-table cap bounds
         # the cached cells at 16 MB
+        cache = extract._cached_table
         big = [table_for(TableParams(12, 8, 4, 2), TablePolicy(kind="random", seed=s))
                for s in (101, 102, 103)]
-        assert list(extract._table_cache.values()) == big
+        assert cache.cache_info().currsize == 3
         assert all(t.cells is None for t in big)
-        held = [table_for(TableParams(10, 16, 4, 2), TablePolicy(kind="random", seed=s))
-                for s in range(9)]
-        cached = list(extract._table_cache.values())
-        assert cached == held[1:] and len(cached) == extract._TABLE_CACHE_MAX
-        assert sum(t.cells.nbytes for t in cached) == 16 << 20
-        assert table_for(TableParams(10, 16, 4, 2),
-                         TablePolicy(kind="random", seed=8)) is held[-1]
+
+        def held(seed):
+            return table_for(TableParams(10, 16, 4, 2),
+                             TablePolicy(kind="random", seed=seed))
+
+        first = [held(s) for s in range(9)]
+        assert cache.cache_info().currsize == extract._TABLE_CACHE_MAX == 8
+        # the last eight stay cached, hits returning the very tables built
+        misses = cache.cache_info().misses
+        assert all(held(s) is first[s] for s in range(1, 9))
+        assert cache.cache_info().misses == misses
+        assert sum(t.cells.nbytes for t in first[1:]) == 16 << 20
+        assert held(0) is not first[0]
+        assert cache.cache_info().misses == misses + 1
 
     def test_room_is_made_before_the_fill(self):
         # three 2^24-cell tables built, digested and written in turn peak at
@@ -129,14 +137,20 @@ class TestExtractString:
     def test_small_tables_share_the_budget(self):
         # small tables, which hold their cells, and formula tables share the
         # 8-table cap, and no table evicts another for its size
-        small = [table_for(TableParams(8, 8, 4, 2), TablePolicy(kind="random", seed=s))
-                 for s in range(3)]
-        assert list(extract._table_cache.values()) == small
-        big = table_for(TableParams(12, 8, 4, 2), TablePolicy(kind="random", seed=1))
-        wide = table_for(TableParams(12, 9, 4, 2), TablePolicy(kind="random", seed=1))
-        assert list(extract._table_cache.values()) == small + [big, wide]
+        shapes = [(TableParams(8, 8, 4, 2), s) for s in range(3)]
+        shapes += [(TableParams(12, 8, 4, 2), 1), (TableParams(12, 9, 4, 2), 1)]
+
+        def tables():
+            return [table_for(p, TablePolicy(kind="random", seed=s)) for p, s in shapes]
+
+        built = tables()
+        *small, big, wide = built
         assert big.cells is None and wide.cells is None
         assert all(t.cells is not None for t in small)
+        info = extract._cached_table.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (5, 5, 0)
+        assert all(a is b for a, b in zip(tables(), built))
+        assert extract._cached_table.cache_info().hits == 5
 
     def test_cold_extract_at_12_bits_builds_nothing(self):
         # the table is a formula: the golden cell comes from two scrambles
@@ -154,15 +168,23 @@ class TestExtractString:
         (TableParams(1, 2, 0, 2), "canonical"),    # no balanced table exists
     ])
     def test_refused_build_evicts_nothing(self, params, kind):
-        for seed in (1, 2):
-            table_for(TableParams(12, 8, 4, 2), TablePolicy(kind="random", seed=seed))
-        table_for(TableParams(3, 2, 2, 1), TablePolicy(kind="random", seed=1))
-        before = list(extract._table_cache.items())
+        # the cache is full, and a refused build neither enters it nor
+        # pushes a table out
+        shapes = [(TableParams(12, 8, 4, 2), s) for s in (1, 2)]
+        shapes += [(TableParams(3, 2, 2, 1), s)
+                   for s in range(extract._TABLE_CACHE_MAX - 2)]
+
+        def tables():
+            return [table_for(p, TablePolicy(kind="random", seed=s)) for p, s in shapes]
+
+        before = tables()
+        info = extract._cached_table.cache_info()
+        assert info.currsize == extract._TABLE_CACHE_MAX
         with pytest.raises((TooLarge, NotFound)):
             table_for(params, TablePolicy(kind=kind, seed=3))
-        after = list(extract._table_cache.items())
-        assert [k for k, _ in after] == [k for k, _ in before]
-        assert all(a is b for (_, a), (_, b) in zip(after, before))
+        assert extract._cached_table.cache_info().currsize == info.currsize
+        assert all(a is b for a, b in zip(tables(), before))
+        assert extract._cached_table.cache_info().hits == info.hits + len(shapes)
 
 
 class TestExtractConditional:
@@ -203,11 +225,14 @@ class TestPolicy:
         keyed = TablePolicy(kind="keyed", seed=4)
         params = TableParams(64, 58, 32, 58)
         assert table_for(params, keyed) is not table_for(params, keyed)
-        assert extract._table_cache == {}
+        assert extract._cached_table.cache_info().currsize == 0
         small = TableParams(4, 2, 2, 2)
         table = table_for(small, TablePolicy(seed=4))
-        assert extract._table_cache == {(small, "random", 4): table}
+        # "auto" caches under the kind it resolves to
+        assert extract._cached_table.cache_info().currsize == 1
+        assert extract._cached_table(small, "random", 4) is table
         assert table_for(small, TablePolicy(kind="random", seed=4)) is table
+        assert extract._cached_table.cache_info().hits == 2
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParams):

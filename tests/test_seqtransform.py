@@ -345,7 +345,7 @@ class TestBlockTables:
             run()
             run()                                     # cache hits warn no more
             assert [m.split(" explicit")[0] for m in caplog.messages] == ["block 2"]
-            extract._table_cache.clear()
+            extract._cached_table.cache_clear()
             run()
         assert [m.split(" explicit")[0] for m in caplog.messages] == ["block 2"] * 2
 
@@ -386,8 +386,8 @@ class TestBlockTables:
         checked = []
         for sched, build in ((b2_schedule(), random_table),     # S < N: 16 samples
                              (derive_seq_schedule(F(1), F(1, 2), 2, 3), constant_table)):
+            extract._cached_table.cache_clear()
             with monkeypatch.context() as m:
-                m.setattr(extract, "_table_cache", {})
                 m.setattr(extract, "random_table", build)
                 m.setattr(BalancedTable, "digest", no_digest)
                 with caplog.at_level(logging.WARNING, logger="balext.seqtransform"):
@@ -427,7 +427,7 @@ class TestBlockTables:
                 assert (one.passed, one.worst_ratio) == (sixteen.passed, sixteen.worst_ratio)
         # the block 2 table built above is cached; start from an empty
         # cache so that table_for builds block 2 with the patched builder
-        monkeypatch.setattr(extract, "_table_cache", {})
+        extract._cached_table.cache_clear()
         monkeypatch.setattr(extract, "random_table", constant_table)
         with caplog.at_level(logging.WARNING, logger="balext.seqtransform"):
             table = block_table(sched, 2, pol)

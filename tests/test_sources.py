@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from balext.core import BitString, InvalidParams, TableParams
 from balext.extract import TablePolicy
-from balext.mixing import stream_bits, stream_value, substream
+from balext.mixing import stream_bits, stream_value
 from balext import sources
 from balext.sources import (
     THETA_INDEP,
@@ -29,7 +29,7 @@ from conftest import experiment_chunk_oracle, match_cost_oracle
 
 
 def random_bitstring(seed: int, n: int, tag: int = 1) -> BitString:
-    return BitString(stream_bits(substream(seed, tag), n), n)
+    return BitString(stream_bits(stream_value(seed, tag), n), n)
 
 
 def _bitstrings(max_len: int):
@@ -70,7 +70,7 @@ _WORD_LENGTHS = [*range(201), 233, 256, 377, 512, 610, 987, 1024, 1597, 2000]
 class TestPlantedPairs:
     def test_layout(self):
         spec = PlantedPairSpec(16, F(1, 2), F(1, 4), seed=5)
-        assert spec.random_bits == 8 and spec.shared_bits == 4
+        assert spec.shared_bits == 4      # of round(sigma * n) = 8 random bits
         x, y = gen_planted_pair(spec)
         assert len(x) == len(y) == 16
         # r || shared || zero pad: trailing 8 bits are padding

@@ -368,6 +368,47 @@ class TestKeyedTable:
                 key, n_exp, m_exp, r, c)
 
 
+class TestGrid:
+    """``grid`` equals ``lookup`` cell for cell on every backend, in a dtype
+    that ``np.bincount`` (dense colors) or ``np.unique`` (ranked) takes."""
+
+    @pytest.mark.parametrize("kind, n_exp, m_exp, dtype", [
+        ("random", 4, 5, np.uint8),            # held cells
+        ("canonical", 1, 1, np.uint8),
+        ("random", 11, 4, np.uint8),           # formula tables
+        ("random", 11, 9, np.dtype("<u2")),
+        ("keyed", 8, 4, np.intp),
+        ("keyed", 8, 8, np.intp),
+        ("keyed", 8, 63, np.intp),
+        ("keyed", 8, 64, np.uint64),
+        ("keyed", 8, 80, object),              # cell by cell
+        ("keyed", 65, 8, np.intp),
+        ("keyed", 65, 64, np.uint64),
+        ("keyed", 65, 80, object),
+    ])
+    @pytest.mark.parametrize("key", [12345, (1 << 128) - 1],
+                             ids=["key-12345", "key-all-ones"])
+    def test_equals_lookup(self, kind, n_exp, m_exp, dtype, key):
+        params = TableParams(n_exp, m_exp, 1, 1)
+        if kind == "keyed":
+            t = keyed_table(params, key)
+        elif kind == "random":
+            t = random_table(params, key & ((1 << 64) - 1))
+        else:
+            t = canonical_table(params)
+        top = params.n_side - 1
+        side_dtype = np.uint64 if n_exp <= 64 else object
+        rows = np.array([0, 1, top, top // 3], dtype=side_dtype)
+        cols = np.array([top, 0, 1], dtype=side_dtype)
+        grid = t.grid(rows, cols)
+        assert grid.dtype == dtype and grid.shape == (4, 3)
+        assert grid.tolist() == [[t.lookup(int(r), int(c)) for c in cols] for r in rows]
+        if params.m_colors <= 1 << 20:
+            assert np.bincount(grid.ravel(), minlength=params.m_colors).sum() == grid.size
+        else:
+            assert np.unique(grid.ravel()).tolist() == sorted(set(grid.ravel().tolist()))
+
+
 class TestCanonicalTable:
     def test_all_zero_when_vacuous(self):
         # D=1: bound is 2*area, never violated; lexicographic first = all zero

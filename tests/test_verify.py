@@ -10,8 +10,14 @@ from hypothesis import strategies as st
 
 from balext.core import InvalidParams, TableParams, TooLarge
 from balext import verify
-from balext.mixing import stream_value
-from balext.tables import BalancedTable, keyed_table, key_from_seed, random_table
+from balext.mixing import partial_shuffle_batch, stream_value
+from balext.tables import (
+    BACKEND_RANDOM,
+    BalancedTable,
+    key_from_seed,
+    keyed_table,
+    random_table,
+)
 from balext.verify import (
     _check_counts,
     _colorset,
@@ -407,32 +413,65 @@ class TestSampled:
         with pytest.raises(TooLarge):
             verify_sampled(t, 2, 1, 5, seed=0)
 
-    @pytest.mark.parametrize("table_seed, seed, samples, first", [
-        (2, 3, 101, 81),    # in a later batch of the last worker at threads 2 and 3
-        (3, 0, 91, 91),     # just past the last sample
+    @pytest.mark.parametrize("shape, table_seed, seed, samples, first, chunk", [
+        # 8 x 8 rectangles of 8 colors: both the M and the S bound give 8
+        pytest.param("8x8", 2, 3, 101, 81, 8, id="2-3-101-81"),   # a later chunk of
+                                                                  # the last worker
+        pytest.param("8x8", 3, 0, 91, 91, 8, id="3-0-91-91"),     # past the last sample
+        # 8 x 8 rectangles of 32 colors: the M bound gives 2
+        pytest.param("colors", 3, 3, 25, 21, 2, id="colors-bound"),
+        # 16 x 16 rectangles of 4 colors: the S bound gives 4
+        pytest.param("side", 2, 0, 71, 67, 4, id="side-bound"),
+        # the 8 x 8 case with its colors ranked: the ranked bound gives 1
+        pytest.param("ranked", 2, 3, 101, 81, 1, id="ranked-bound"),
     ])
-    def test_reports_across_draw_batches(self, monkeypatch, table_seed, seed, samples,
-                                         first):
-        # at _CHUNK = 64 a worker draws its 8 x 8 rectangles in batches of
-        # 8.  Reports at threads 1-3, over a sample count that no thread
-        # count divides, must equal one drawn in a single batch, and the
-        # witness is the first violating sample, drawn from streams 2j and
-        # 2j + 1 of the seed
-        t = random_table(TableParams(6, 3, 3, 3), table_seed)
+    def test_reports_across_draw_batches(self, monkeypatch, shape, table_seed, seed,
+                                         samples, first, chunk):
+        # at _CHUNK = 64 a worker draws and counts its samples in chunks of
+        # max(1, min(bound, 64 // S)), the bound being 64 // M when dense
+        # and isqrt(64 // area) when ranked.  Reports at threads 1-3, over a
+        # sample count that no thread count divides, must equal one drawn
+        # in a single chunk, and the witness is the first violating sample,
+        # drawn from streams 2j and 2j + 1 of the seed
+        if shape == "colors":
+            t, s_exp, d_exp = random_table(TableParams(6, 5, 3, 2), table_seed), 3, 2
+        elif shape == "side":
+            # color 0 fills 7/16 of the cells, so a few rectangles hold
+            # more than half of their cells in it
+            base = random_table(TableParams(6, 4, 4, 2), table_seed).cells
+            cells = np.array([0] * 7 + [1, 2, 3] * 3, dtype=np.uint8)[base]
+            cells.setflags(write=False)
+            t = BalancedTable(TableParams(6, 2, 4, 2), BACKEND_RANDOM, table_seed, cells)
+            s_exp, d_exp = 4, 2
+        else:
+            t, s_exp, d_exp = random_table(TableParams(6, 3, 3, 3), table_seed), 3, 3
+            if shape == "ranked":
+                monkeypatch.setattr(verify, "_DENSE_COLORS", 4)
+        side = 1 << s_exp
 
         def report(threads, n=samples):
-            return json.loads(verify_sampled(t, 3, 3, n, seed=seed, threads=threads)
+            return json.loads(verify_sampled(t, s_exp, d_exp, n, seed=seed, threads=threads)
                               .to_json())
 
         monkeypatch.setattr(verify, "_CHUNK", 1 << 20)
         want = report(1)
         monkeypatch.setattr(verify, "_CHUNK", 64)
-        assert report(1) == report(2) == report(3) == want
+        sizes = []
+
+        def recording(states, n, k):
+            sizes.append(len(states))
+            return partial_shuffle_batch(states, n, k)
+
+        monkeypatch.setattr(verify, "partial_shuffle_batch", recording)
+        assert report(1) == want
+        assert sizes[::2] == [min(chunk, samples - c) for c in range(0, samples, chunk)]
+        assert report(2) == report(3) == want
         assert (want["witness"] is None) == (first >= samples)
         witness = report(1, max(samples, first + 1))["witness"]
-        assert witness["rows"] == partial_shuffle_oracle(stream_value(seed, 2 * first), 64, 8)
+        assert witness["rows"] == partial_shuffle_oracle(stream_value(seed, 2 * first), 64,
+                                                         side)
         assert witness["cols"] == partial_shuffle_oracle(stream_value(seed, 2 * first + 1),
-                                                         64, 8)
+                                                         64, side)
 
     def test_keyed_memory_is_independent_of_n(self):
         # a samples x N draw array would be 400 MB here
